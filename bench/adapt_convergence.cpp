@@ -157,12 +157,12 @@ FormatsGateResult run_formats_corpus(
   aopts.trial_fraction = trial_fraction;
   aopts.hot_bins = 8;
   aopts.explore_formats = true;
-  aopts.format_trial_fraction = 0.7;
-  aopts.format_min_samples = 2;
+  aopts.explore_fraction = 0.7;
   // Forgiving hysteresis: the bench wants convergence within the request
   // budget; production defaults are more conservative.
-  aopts.format_hysteresis = 1.02;
-  aopts.format_cooldown = 2;
+  aopts.min_samples = 2;
+  aopts.hysteresis = 1.02;
+  aopts.cooldown = 2;
   opts.adapt = aopts;
   adapt::PlanStore store(store_path);
   opts.plan_store = &store;
@@ -541,14 +541,13 @@ int main(int argc, char** argv) {
   // hottest-subset steady-state configuration.
   aopts.hot_bins = static_cast<int>(mis_plan.bin_kernels.size());
   if (misbin) {
-    // Second-level exploration is the whole point of this mode. Low
-    // hysteresis/cooldown: the bench wants fast convergence within the
-    // request budget; production defaults are more conservative.
+    // Second-level exploration is the whole point of this mode. Short
+    // cooldown (on top of the fast 2 / 1.05 above): the bench wants fast
+    // convergence within the request budget; production defaults are more
+    // conservative.
     aopts.explore_units = true;
-    aopts.unit_trial_fraction = 0.5;
-    aopts.unit_min_samples = 2;
-    aopts.unit_hysteresis = 1.05;
-    aopts.unit_cooldown = 2;
+    aopts.explore_fraction = 0.5;
+    aopts.cooldown = 2;
     // After a U promotion the rebinned plan can have more bins than the
     // degenerate starting layout, so size the hot set for the recovered
     // plan, not the broken one.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "exec/backend.hpp"
@@ -32,17 +33,24 @@ std::int64_t bin_nnz(const CsrMatrix<T>& a, std::span<const index_t> vrows,
   return total;
 }
 
+/// Flops of one product over `nnz` non-zeros (at least one, so an empty
+/// bin still scores finitely).
+double flops_of(std::int64_t nnz) {
+  return 2.0 * static_cast<double>(std::max<std::int64_t>(1, nnz));
+}
+
+double gflops_of(double flops, double seconds) {
+  return flops / std::max(seconds, 1e-12) * 1e-9;
+}
+
 /// Timed execution of one whole plan: every listed bin launched with its
 /// kernel, scored as 2*nnz / seconds. A kernel that cannot run earns a
-/// zero-reward sample instead of crashing the worker (same contract as the
-/// per-bin trials).
+/// zero-reward sample instead of crashing the worker.
 template <typename T>
 double whole_plan_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
                          std::span<const T> x, const binning::BinSet& bins,
                          const std::vector<core::BinPlan>& bin_kernels) {
   std::vector<T> y(static_cast<std::size_t>(a.rows()));
-  const double flops =
-      2.0 * static_cast<double>(std::max<std::int64_t>(1, a.nnz()));
   try {
     util::Timer t;
     for (const core::BinPlan& bp : bin_kernels) {
@@ -52,7 +60,7 @@ double whole_plan_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
       backend.run_binned(bp.kernel, a, x, std::span<T>(y),
                          std::span<const index_t>(vrows), bins.unit());
     }
-    return flops / std::max(t.elapsed_s(), 1e-12) * 1e-9;
+    return gflops_of(flops_of(a.nnz()), t.elapsed_s());
   } catch (const std::exception& e) {
     util::log_warn() << "adapt whole-plan trial failed (U=" << bins.unit()
                      << ", backend=" << exec::backend_name(backend.kind())
@@ -61,18 +69,17 @@ double whole_plan_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
   }
 }
 
-/// Timed execution of one bin under one physical format: CSR runs the
-/// bin's planned kernel, any other format builds the layout OUTSIDE the
-/// timed section and launches the backend's layout kernel. A layout the
-/// builder rejects returns a negative sentinel — the caller negative-caches
-/// the format so the failing transformation is never re-attempted; a kernel
-/// that cannot run earns a zero-reward sample. Neither crashes the worker.
+/// Timed execution of one bin: CSR runs `kernel` on the shared arrays, any
+/// other format builds the layout OUTSIDE the timed section and launches
+/// the backend's layout kernel. A layout the builder rejects returns the
+/// negative rejection sentinel; a kernel that cannot run earns a
+/// zero-reward sample. Neither crashes the worker.
 template <typename T>
-double bin_format_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
-                         std::span<const T> x, std::span<T> y,
-                         std::span<const index_t> vrows, index_t unit,
-                         kernels::KernelId kernel, fmt::FormatKind format,
-                         int bin_id, double flops) {
+double bin_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
+                  std::span<const T> x, std::span<T> y,
+                  std::span<const index_t> vrows, index_t unit,
+                  kernels::KernelId kernel, fmt::FormatKind format,
+                  int bin_id, double flops) {
   fmt::BinLayout<T> layout;
   if (format != fmt::FormatKind::Csr) {
     try {
@@ -85,45 +92,70 @@ double bin_format_gflops(const exec::Backend& backend, const CsrMatrix<T>& a,
     }
   }
   try {
-    if (format == fmt::FormatKind::Csr) {
-      util::Timer t;
-      backend.run_binned(kernel, a, x, y, vrows, unit);
-      return flops / std::max(t.elapsed_s(), 1e-12) * 1e-9;
-    }
     util::Timer t;
-    backend.run_layout(a, layout, x, y);
-    return flops / std::max(t.elapsed_s(), 1e-12) * 1e-9;
+    if (format == fmt::FormatKind::Csr)
+      backend.run_binned(kernel, a, x, y, vrows, unit);
+    else
+      backend.run_layout(a, layout, x, y);
+    return gflops_of(flops, t.elapsed_s());
   } catch (const std::exception& e) {
-    util::log_warn() << "adapt format trial failed (bin " << bin_id << ", "
+    util::log_warn() << "adapt trial failed (bin " << bin_id << ", "
+                     << kernels::kernel_name(kernel) << "/"
                      << fmt::format_cname(format) << "): " << e.what();
     return 0.0;
   }
 }
 
+/// Per-level trace names, counters and log wording. A null counter means
+/// the level is counted in the shared `trials`/`promotions` only.
+struct LevelTelemetry {
+  const char* name;
+  const char* trial_span;
+  const char* promote_instant;
+  std::uint64_t prof::AdaptStats::*trials;
+  std::uint64_t prof::AdaptStats::*promotions;
+};
+
+using S = prof::AdaptStats;
+constexpr LevelTelemetry kShadowTelemetry[] = {
+    {"kernel", "adapt-trial", "adapt-promote", nullptr, nullptr},
+    {"U", "adapt-trial-u", "adapt-promote-u", &S::u_trials, &S::u_promotions},
+    {"backend", "adapt-trial-backend", "adapt-promote-backend", &S::b_trials,
+     &S::b_promotions},
+    {"format", "adapt-trial-format", "adapt-promote-format", &S::f_trials,
+     &S::f_promotions},
+};
+constexpr LevelTelemetry kLatencyTelemetry = {
+    "latency-feedback kernel", nullptr, "adapt-promote-latency", &S::l_trials,
+    &S::l_promotions};
+
+const LevelTelemetry& shadow_telemetry(Level level) {
+  return kShadowTelemetry[static_cast<int>(level) - 1];
+}
+
+std::string arm_label(kernels::KernelId k) { return kernels::kernel_name(k); }
+std::string arm_label(index_t u) { return std::to_string(u); }
+std::string arm_label(exec::BackendKind k) { return exec::backend_name(k); }
+std::string arm_label(fmt::FormatKind k) { return fmt::format_cname(k); }
+
 }  // namespace
 
 template <typename T>
 BanditTuner<T>::BanditTuner(const clsim::Engine& engine, AdaptOptions opts)
-    : engine_(engine),
-      opts_(std::move(opts)),
+    : opts_(std::move(opts)),
       engine_backend_(exec::wrap_engine(engine)),
       native_backend_(exec::shared_backend(exec::BackendKind::Native)),
       rng_(opts_.seed) {
   if (opts_.kernel_pool.empty()) opts_.kernel_pool = kernels::all_kernels();
   opts_.hot_bins = std::max(1, opts_.hot_bins);
   opts_.min_samples = std::max(1, opts_.min_samples);
+  opts_.cooldown = std::max(0, opts_.cooldown);
   if (opts_.unit_pool.empty())
     opts_.unit_pool = binning::default_granularity_pool();
   std::sort(opts_.unit_pool.begin(), opts_.unit_pool.end());
   opts_.unit_pool.erase(
       std::unique(opts_.unit_pool.begin(), opts_.unit_pool.end()),
       opts_.unit_pool.end());
-  opts_.unit_min_samples = std::max(1, opts_.unit_min_samples);
-  opts_.unit_cooldown = std::max(0, opts_.unit_cooldown);
-  opts_.backend_min_samples = std::max(1, opts_.backend_min_samples);
-  opts_.backend_cooldown = std::max(0, opts_.backend_cooldown);
-  opts_.format_min_samples = std::max(1, opts_.format_min_samples);
-  opts_.format_cooldown = std::max(0, opts_.format_cooldown);
 }
 
 template <typename T>
@@ -134,107 +166,123 @@ const exec::Backend& BanditTuner<T>::backend_for(
 }
 
 template <typename T>
-kernels::KernelId BanditTuner<T>::pick_challenger(
-    const BinArms& ba, kernels::KernelId incumbent) {
-  // Unexplored arms first, in pool order — every candidate gets one sample
-  // before exploitation starts.
-  for (kernels::KernelId id : opts_.kernel_pool) {
-    if (id == incumbent) continue;
-    if (ba.arms[static_cast<std::size_t>(id)].samples == 0) return id;
-  }
+template <typename Key>
+Key BanditTuner<T>::pick(const ArmTable<Key>& t, std::span<const Key> fresh,
+                         std::span<const Key> pool, Key incumbent,
+                         double epsilon) {
+  const auto live = [&](Key k) {
+    return k != incumbent && !t.rejected.contains(k);
+  };
+  const auto samples = [&](Key k) {
+    const auto it = t.arms.find(k);
+    return it == t.arms.end() ? std::uint64_t{0} : it->second.samples;
+  };
+  // Unexplored arms first, in `fresh` order — every candidate gets one
+  // sample before exploitation starts.
+  for (Key k : fresh)
+    if (live(k) && samples(k) == 0) return k;
 
-  if (opts_.use_ucb) {
-    // UCB1 on the GFLOP/s means. The bonus term is scaled by the running
-    // best mean so the exploration pressure tracks the reward magnitude
-    // (GFLOP/s is not normalized to [0, 1]).
-    double scale = 0.0;
-    for (kernels::KernelId id : opts_.kernel_pool)
-      scale = std::max(scale,
-                       ba.arms[static_cast<std::size_t>(id)].mean_gflops);
-    if (scale <= 0.0) scale = 1.0;
-    const double log_total =
-        std::log(static_cast<double>(std::max<std::uint64_t>(2, ba.pulls)));
-    kernels::KernelId best = incumbent;
-    double best_score = -std::numeric_limits<double>::infinity();
-    for (kernels::KernelId id : opts_.kernel_pool) {
-      if (id == incumbent) continue;
-      const Arm& arm = ba.arms[static_cast<std::size_t>(id)];
-      const double bonus =
-          scale * std::sqrt(2.0 * log_total /
-                            static_cast<double>(std::max<std::uint64_t>(
-                                1, arm.samples)));
-      const double score = arm.mean_gflops + bonus;
-      if (score > best_score) {
-        best_score = score;
-        best = id;
-      }
-    }
-    return best;
-  }
-
-  // Epsilon-greedy: explore a random non-incumbent, otherwise exploit the
-  // best mean so far.
-  std::vector<kernels::KernelId> candidates;
-  candidates.reserve(opts_.kernel_pool.size());
-  for (kernels::KernelId id : opts_.kernel_pool)
-    if (id != incumbent) candidates.push_back(id);
-  if (rng_.uniform() < opts_.epsilon)
+  std::vector<Key> candidates;
+  for (Key k : pool)
+    if (live(k)) candidates.push_back(k);
+  if (candidates.empty()) return incumbent;
+  // Epsilon-greedy: explore a random live arm, otherwise exploit the best
+  // sampled mean.
+  if (epsilon > 0.0 && rng_.uniform() < epsilon)
     return candidates[rng_.bounded(candidates.size())];
-  kernels::KernelId best = candidates.front();
+  Key best = incumbent;
   double best_mean = -1.0;
-  for (kernels::KernelId id : candidates) {
-    const double m = ba.arms[static_cast<std::size_t>(id)].mean_gflops;
-    if (m > best_mean) {
-      best_mean = m;
-      best = id;
+  for (Key k : candidates) {
+    const auto it = t.arms.find(k);
+    if (it == t.arms.end() || it->second.samples == 0) continue;
+    if (it->second.mean_gflops > best_mean) {
+      best_mean = it->second.mean_gflops;
+      best = k;
     }
   }
   return best;
 }
 
 template <typename T>
-index_t BanditTuner<T>::pick_unit_challenger(const KeyState& st,
-                                             index_t incumbent) {
-  const std::vector<index_t>& pool = opts_.unit_pool;
-  const auto it = std::lower_bound(pool.begin(), pool.end(), incumbent);
-  const auto idx = static_cast<std::size_t>(it - pool.begin());
-  const bool exact = it != pool.end() && *it == incumbent;
-  std::vector<index_t> neighbors;
-  if (idx > 0) neighbors.push_back(pool[idx - 1]);
-  if (exact && idx + 1 < pool.size()) neighbors.push_back(pool[idx + 1]);
-  if (!exact && idx < pool.size()) neighbors.push_back(pool[idx]);
-
-  // Grid neighbors first: each gets one whole-plan sample before anything
-  // fancier, so hill-climbing starts immediately from the incumbent.
-  for (index_t u : neighbors) {
-    const auto a = st.units.find(u);
-    if (a == st.units.end() || a->second.samples == 0) return u;
-  }
-
-  // Epsilon jump: a random pool granularity. Escapes plateaus where both
-  // neighbors look no better, and lets a distant optimum be discovered
-  // without walking every intermediate step.
-  if (pool.size() >= 2 && rng_.uniform() < opts_.epsilon) {
-    for (int tries = 0; tries < 8; ++tries) {
-      const index_t u = pool[rng_.bounded(pool.size())];
-      if (u != incumbent) return u;
+template <typename Key, typename TimeArm, typename NextPlan>
+std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::run_trial(
+    KeyState& st, ArmTable<Key>& t, const Trial<Key>& tr,
+    const core::Plan& plan, TimeArm&& time_arm, NextPlan&& next_plan) {
+  double inc_gflops = 0.0;
+  double ch_gflops = 0.0;
+  {
+    trace::TraceSpan span(shadow_telemetry(tr.level).trial_span, "adapt");
+    if (tr.bin >= 0) span.arg("bin", tr.bin);
+    span.arg(tr.level == Level::Unit ? "unit" : "challenger",
+             static_cast<std::int64_t>(tr.challenger));
+    if (opts_.measure_override) {
+      inc_gflops = opts_.measure_override(
+          tr.level, tr.bin, static_cast<std::int64_t>(tr.incumbent));
+      ch_gflops = opts_.measure_override(
+          tr.level, tr.bin, static_cast<std::int64_t>(tr.challenger));
+    } else {
+      // Incumbent first, challenger second, back-to-back.
+      inc_gflops = time_arm(tr.incumbent);
+      ch_gflops = time_arm(tr.challenger);
     }
   }
+  return settle(st, t, tr, inc_gflops, ch_gflops, plan,
+                std::forward<NextPlan>(next_plan));
+}
 
-  // Exploit: the best explored mean that is not the incumbent — keeps
-  // re-sampling the most promising U until it either clears the promotion
-  // bar or its mean decays below the incumbent's.
-  index_t best = 0;
-  double best_mean = -1.0;
-  for (const auto& [u, arm] : st.units) {
-    if (u == incumbent || arm.samples == 0) continue;
-    if (arm.mean_gflops > best_mean) {
-      best_mean = arm.mean_gflops;
-      best = u;
+template <typename T>
+template <typename Key, typename NextPlan>
+std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::settle(
+    KeyState& st, ArmTable<Key>& t, const Trial<Key>& tr,
+    std::optional<double> inc_gflops, double ch_gflops,
+    const core::Plan& plan, NextPlan&& next_plan) {
+  // A negative measurement is the builder-rejection sentinel: exclude the
+  // arm from future picks and record a zero-reward sample.
+  const auto record = [&t](Key k, double gflops) {
+    if (gflops < 0.0) {
+      t.rejected.insert(k);
+      gflops = 0.0;
     }
-  }
-  if (best != 0) return best;
-  return neighbors.empty() ? incumbent : neighbors.front();
+    t.arms[k].add(gflops);
+    return gflops;
+  };
+  const bool shadow = inc_gflops.has_value();
+  const LevelTelemetry& tel =
+      shadow ? shadow_telemetry(tr.level) : kLatencyTelemetry;
+  const double inc = shadow ? record(tr.incumbent, *inc_gflops)
+                            : t.arms[tr.incumbent].mean_gflops;
+  const double ch = record(tr.challenger, ch_gflops);
+  if (shadow) stats_.trials += 1;
+  if (tel.trials != nullptr) stats_.*tel.trials += 1;
+  // Regret = wall time lost to a challenger slower than the incumbent
+  // (what exploration cost on this trial).
+  if (ch > 0.0 && inc > ch)
+    stats_.regret_s += tr.flops * 1e-9 / ch - tr.flops * 1e-9 / inc;
+
+  // The one promotion rule.
+  const Arm& inc_arm = t.arms[tr.incumbent];
+  const Arm& ch_arm = t.arms[tr.challenger];
+  const auto min_n = static_cast<std::uint64_t>(opts_.min_samples);
+  if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
+  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.hysteresis)
+    return std::nullopt;
+
+  Promotion promo;
+  promo.plan = next_plan();
+  promo.plan.revision = plan.revision + 1;
+  promo.gflops = ch_arm.mean_gflops;
+  promo.level = static_cast<std::uint8_t>(tr.level);
+  stats_.promotions += 1;
+  if (tel.promotions != nullptr) stats_.*tel.promotions += 1;
+  st.cooldown[static_cast<int>(tr.level)] = opts_.cooldown;
+  trace::emit_instant(tel.promote_instant, "adapt");
+  auto log = util::log_info();
+  log << "adapt: " << tel.name << " promotion";
+  if (tr.bin >= 0) log << " on bin " << tr.bin;
+  log << ": " << arm_label(tr.incumbent) << " -> " << arm_label(tr.challenger)
+      << " (" << inc_arm.mean_gflops << " -> " << ch_arm.mean_gflops
+      << " GFLOP/s, revision " << promo.plan.revision << ")";
+  return promo;
 }
 
 template <typename T>
@@ -245,17 +293,17 @@ kernels::KernelId BanditTuner<T>::seed_kernel(const KeyState& st,
   // U with workload ~= U * avg_len), independent of U — so knowledge about
   // bin b under the old granularity transfers to bin b under the new one.
   // Best sampled kernel arm first:
-  if (const auto it = st.bins.find(bin_id); it != st.bins.end()) {
+  if (const auto it = st.kernels.find(bin_id); it != st.kernels.end()) {
     bool any = false;
     kernels::KernelId best = kernels::KernelId::Serial;
     double best_mean = 0.0;
     for (kernels::KernelId id : opts_.kernel_pool) {
-      const Arm& arm = it->second.arms[static_cast<std::size_t>(id)];
-      if (arm.samples == 0) continue;
-      if (!any || arm.mean_gflops > best_mean) {
+      const auto arm = it->second.arms.find(id);
+      if (arm == it->second.arms.end() || arm->second.samples == 0) continue;
+      if (!any || arm->second.mean_gflops > best_mean) {
         any = true;
         best = id;
-        best_mean = arm.mean_gflops;
+        best_mean = arm->second.mean_gflops;
       }
     }
     if (any) return best;
@@ -282,81 +330,106 @@ kernels::KernelId BanditTuner<T>::seed_kernel(const KeyState& st,
 }
 
 template <typename T>
+int BanditTuner<T>::next_hot_bin(KeyState& st) {
+  const int bin = st.hot[st.next_hot % st.hot.size()];
+  st.next_hot += 1;
+  return bin;
+}
+
+template <typename T>
+std::optional<typename BanditTuner<T>::Promotion>
+BanditTuner<T>::kernel_trial(KeyState& st, const core::Plan& plan,
+                             const binning::BinSet& bins,
+                             const CsrMatrix<T>& a, std::span<const T> x) {
+  const int bin = next_hot_bin(st);
+  const kernels::KernelId incumbent = plan.kernel_for(bin);
+  ArmTable<kernels::KernelId>& t = st.kernels[bin];
+  const std::span<const kernels::KernelId> pool(opts_.kernel_pool);
+  const kernels::KernelId challenger =
+      pick(t, pool, pool, incumbent, opts_.epsilon);
+  if (challenger == incumbent) return std::nullopt;
+
+  const auto vrows = std::span<const index_t>(bins.bin(bin));
+  const double flops = flops_of(bin_nnz(a, vrows, bins.unit()));
+  // Both launches on the plan's own backend: kernel arms compare thread
+  // shapes under the engine the plan actually runs on.
+  const exec::Backend& backend = backend_for(plan.backend);
+  std::vector<T> y;
+  return run_trial(
+      st, t, Trial<kernels::KernelId>{Level::Kernel, bin, incumbent, challenger,
+                                      flops},
+      plan,
+      [&](kernels::KernelId k) {
+        y.resize(static_cast<std::size_t>(a.rows()));
+        return bin_gflops(backend, a, x, std::span<T>(y), vrows, bins.unit(),
+                          k, fmt::FormatKind::Csr, bin, flops);
+      },
+      [&] {
+        // The old incumbent's mean trails the new one by at least the
+        // hysteresis factor and survives the revision bump, so it cannot
+        // flap straight back.
+        core::Plan next = plan;
+        for (core::BinPlan& bp : next.bin_kernels)
+          if (bp.bin_id == bin) bp.kernel = challenger;
+        return next;
+      });
+}
+
+template <typename T>
 std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::unit_trial(
     KeyState& st, const core::Plan& plan, const binning::BinSet& bins,
     const CsrMatrix<T>& a, std::span<const T> x) {
-  const index_t incumbent_u = bins.unit();
-  const index_t challenger_u = pick_unit_challenger(st, incumbent_u);
-  if (challenger_u == incumbent_u || challenger_u <= 0) return std::nullopt;
+  // Hill-climbing: the incumbent's grid neighbors are the unexplored arms
+  // tried first; epsilon jumps and exploitation range over the whole pool.
+  const index_t incumbent = bins.unit();
+  const std::vector<index_t>& pool = opts_.unit_pool;
+  const auto it = std::lower_bound(pool.begin(), pool.end(), incumbent);
+  const auto idx = static_cast<std::size_t>(it - pool.begin());
+  const bool exact = it != pool.end() && *it == incumbent;
+  std::vector<index_t> neighbors;
+  if (idx > 0) neighbors.push_back(pool[idx - 1]);
+  if (exact && idx + 1 < pool.size()) neighbors.push_back(pool[idx + 1]);
+  if (!exact && idx < pool.size()) neighbors.push_back(pool[idx]);
+  const index_t challenger =
+      pick<index_t>(st.units, neighbors, pool, incumbent, opts_.epsilon);
+  if (challenger == incumbent || challenger <= 0) return std::nullopt;
 
   // Re-bin at the challenger granularity OUTSIDE the timed section (a
   // promotion pays planning once; the arms compare steady-state execution
-  // throughput) and seed each candidate bin's kernel from the first
-  // level's knowledge.
-  binning::BinSet cbins = binning::bin_matrix(a, challenger_u);
+  // throughput) and seed each candidate bin's kernel from the kernel arms.
+  const binning::BinSet cbins = binning::bin_matrix(a, challenger);
   std::vector<core::BinPlan> ckernels;
   for (int b : cbins.occupied_bins())
     ckernels.push_back({b, seed_kernel(st, plan, b)});
   if (ckernels.empty()) return std::nullopt;
 
-  // Back-to-back whole-plan measurement, incumbent first.
-  double inc_gflops = 0.0;
-  double ch_gflops = 0.0;
-  {
-    trace::TraceSpan span("adapt-trial-u", "adapt");
-    span.arg("unit", static_cast<std::int64_t>(challenger_u));
-    if (opts_.measure_unit_override) {
-      inc_gflops = opts_.measure_unit_override(incumbent_u);
-      ch_gflops = opts_.measure_unit_override(challenger_u);
-    } else {
-      // Both granularities timed on the plan's own backend — U arms must
-      // compare binning structure, not execution engines.
-      const exec::Backend& backend = backend_for(plan.backend);
-      inc_gflops = whole_plan_gflops(backend, a, x, bins, plan.bin_kernels);
-      ch_gflops = whole_plan_gflops(backend, a, x, cbins, ckernels);
-    }
-  }
-  st.units[incumbent_u].add(inc_gflops);
-  st.units[challenger_u].add(ch_gflops);
-  stats_.trials += 1;
-  stats_.u_trials += 1;
-  const double flops =
-      2.0 * static_cast<double>(std::max<std::int64_t>(1, a.nnz()));
-  if (ch_gflops > 0.0 && inc_gflops > ch_gflops)
-    stats_.regret_s += flops * 1e-9 / ch_gflops - flops * 1e-9 / inc_gflops;
-
-  const Arm& inc_arm = st.units[incumbent_u];
-  const Arm& ch_arm = st.units[challenger_u];
-  const auto min_n = static_cast<std::uint64_t>(opts_.unit_min_samples);
-  if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
-  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.unit_hysteresis)
-    return std::nullopt;
-
-  // Promote: a fully rebuilt plan at the challenger granularity, carrying
-  // tuned-U provenance. The caller's PlanCache::promote re-bins through
-  // the Tuner path and the store write-through persists the corrected U,
-  // so a restart warm-starts with it.
-  Promotion promo;
-  promo.plan.unit = challenger_u;
-  promo.plan.single_bin = false;
-  promo.plan.backend = plan.backend;  // U promotion keeps the backend
-  promo.plan.revision = plan.revision + 1;
-  promo.plan.unit_tuned = true;
-  promo.plan.predicted_unit =
-      plan.predicted_unit != 0 ? plan.predicted_unit : plan.unit;
-  promo.plan.bin_kernels = std::move(ckernels);
-  promo.gflops = ch_arm.mean_gflops;
-  promo.rebinned = true;
-  promo.level = 2;
-  stats_.promotions += 1;
-  stats_.u_promotions += 1;
-  st.unit_cooldown = opts_.unit_cooldown;
-  trace::emit_instant("adapt-promote-u", "adapt");
-  util::log_info() << "adapt: promoting U " << incumbent_u << " -> "
-                   << challenger_u << " (" << inc_arm.mean_gflops << " -> "
-                   << ch_arm.mean_gflops << " GFLOP/s whole-plan, revision "
-                   << promo.plan.revision << ")";
-  return promo;
+  // Both granularities timed on the plan's own backend — U arms compare
+  // binning structure, not execution engines.
+  const exec::Backend& backend = backend_for(plan.backend);
+  return run_trial(
+      st, st.units,
+      Trial<index_t>{Level::Unit, -1, incumbent, challenger,
+                     flops_of(a.nnz())},
+      plan,
+      [&](index_t u) {
+        return u == incumbent
+                   ? whole_plan_gflops(backend, a, x, bins, plan.bin_kernels)
+                   : whole_plan_gflops(backend, a, x, cbins, ckernels);
+      },
+      [&] {
+        // A fully rebuilt plan carrying tuned-U provenance. The caller's
+        // PlanCache::promote re-bins through the Tuner path and the store
+        // write-through persists the corrected U.
+        core::Plan next;
+        next.unit = challenger;
+        next.single_bin = false;
+        next.backend = plan.backend;
+        next.unit_tuned = true;
+        next.predicted_unit =
+            plan.predicted_unit != 0 ? plan.predicted_unit : plan.unit;
+        next.bin_kernels = ckernels;
+        return next;
+      });
 }
 
 template <typename T>
@@ -364,104 +437,31 @@ std::optional<typename BanditTuner<T>::Promotion>
 BanditTuner<T>::backend_trial(KeyState& st, const core::Plan& plan,
                               const binning::BinSet& bins,
                               const CsrMatrix<T>& a, std::span<const T> x) {
-  // Two backends only, so the challenger is simply "the other one" — no
-  // pick policy needed (kBackendCount is a compile-time invariant here).
-  static_assert(exec::kBackendCount == 2,
-                "backend_trial assumes a two-arm backend space");
-  const exec::BackendKind incumbent_b = plan.backend;
-  const exec::BackendKind challenger_b =
-      incumbent_b == exec::BackendKind::Clsim ? exec::BackendKind::Native
-                                              : exec::BackendKind::Clsim;
+  // Two backends: the one non-incumbent arm is both the unexplored and the
+  // greedy pick, so the picker makes no random draw (epsilon 0).
+  const std::span<const exec::BackendKind> pool(exec::all_backends());
+  const exec::BackendKind incumbent = plan.backend;
+  const exec::BackendKind challenger =
+      pick(st.backends, pool, pool, incumbent, 0.0);
+  if (challenger == incumbent) return std::nullopt;
 
-  // Back-to-back whole-plan measurement on identical bins and kernels —
-  // the arms isolate the execution engine, nothing else.
-  double inc_gflops = 0.0;
-  double ch_gflops = 0.0;
-  {
-    trace::TraceSpan span("adapt-trial-backend", "adapt");
-    span.arg("challenger", static_cast<std::int64_t>(challenger_b));
-    if (opts_.measure_backend_override) {
-      inc_gflops = opts_.measure_backend_override(incumbent_b);
-      ch_gflops = opts_.measure_backend_override(challenger_b);
-    } else {
-      inc_gflops = whole_plan_gflops(backend_for(incumbent_b), a, x, bins,
-                                     plan.bin_kernels);
-      ch_gflops = whole_plan_gflops(backend_for(challenger_b), a, x, bins,
-                                    plan.bin_kernels);
-    }
-  }
-  st.backends[static_cast<int>(incumbent_b)].add(inc_gflops);
-  st.backends[static_cast<int>(challenger_b)].add(ch_gflops);
-  stats_.trials += 1;
-  stats_.b_trials += 1;
-  const double flops =
-      2.0 * static_cast<double>(std::max<std::int64_t>(1, a.nnz()));
-  if (ch_gflops > 0.0 && inc_gflops > ch_gflops)
-    stats_.regret_s += flops * 1e-9 / ch_gflops - flops * 1e-9 / inc_gflops;
-
-  const Arm& inc_arm = st.backends[static_cast<int>(incumbent_b)];
-  const Arm& ch_arm = st.backends[static_cast<int>(challenger_b)];
-  const auto min_n = static_cast<std::uint64_t>(opts_.backend_min_samples);
-  if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
-  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.backend_hysteresis)
-    return std::nullopt;
-
-  // Promote: the same plan re-stamped with the challenger backend. Bins
-  // and kernels are untouched (rebinned stays false); the PlanCache
-  // rebuild resolves the new backend from the plan, and the store
-  // write-through persists it. The kernel/unit arms reset when observe()
-  // next sees the new backend — their timings described the old engine —
-  // while the backend arms persist, preventing a flap straight back.
-  Promotion promo;
-  promo.plan = plan;
-  promo.plan.backend = challenger_b;
-  promo.plan.revision = plan.revision + 1;
-  promo.gflops = ch_arm.mean_gflops;
-  promo.level = 3;
-  stats_.promotions += 1;
-  stats_.b_promotions += 1;
-  st.backend_cooldown = opts_.backend_cooldown;
-  trace::emit_instant("adapt-promote-backend", "adapt");
-  util::log_info() << "adapt: promoting backend "
-                   << exec::backend_name(incumbent_b) << " -> "
-                   << exec::backend_name(challenger_b) << " ("
-                   << inc_arm.mean_gflops << " -> " << ch_arm.mean_gflops
-                   << " GFLOP/s whole-plan, revision " << promo.plan.revision
-                   << ")";
-  return promo;
-}
-
-template <typename T>
-fmt::FormatKind BanditTuner<T>::pick_format_challenger(
-    const FormatArms& fa, const std::vector<fmt::FormatKind>& pool,
-    fmt::FormatKind incumbent) {
-  // Builder-rejected formats are negative-cached and never re-picked: a
-  // rejection is deterministic for a given bin (the build would just fail
-  // and re-log every time), so re-exploring it buys nothing.
-  // Unexplored suitable formats first, in the estimator's priority order —
-  // every plausible layout gets one sample before exploitation starts.
-  for (fmt::FormatKind k : pool) {
-    if (k == incumbent || fa.rejected[static_cast<std::size_t>(k)]) continue;
-    if (fa.arms[static_cast<std::size_t>(k)].samples == 0) return k;
-  }
-  std::vector<fmt::FormatKind> candidates;
-  candidates.reserve(pool.size());
-  for (fmt::FormatKind k : pool)
-    if (k != incumbent && !fa.rejected[static_cast<std::size_t>(k)])
-      candidates.push_back(k);
-  if (candidates.empty()) return incumbent;
-  if (rng_.uniform() < opts_.epsilon)
-    return candidates[rng_.bounded(candidates.size())];
-  fmt::FormatKind best = candidates.front();
-  double best_mean = -1.0;
-  for (fmt::FormatKind k : candidates) {
-    const double m = fa.arms[static_cast<std::size_t>(k)].mean_gflops;
-    if (m > best_mean) {
-      best_mean = m;
-      best = k;
-    }
-  }
-  return best;
+  // Identical bins and kernels on both arms — they isolate the execution
+  // engine, nothing else.
+  return run_trial(
+      st, st.backends,
+      Trial<exec::BackendKind>{Level::Backend, -1, incumbent, challenger,
+                               flops_of(a.nnz())},
+      plan,
+      [&](exec::BackendKind k) {
+        return whole_plan_gflops(backend_for(k), a, x, bins, plan.bin_kernels);
+      },
+      [&] {
+        // Bins and kernels untouched; ensure_state resets the other arm
+        // levels when it next sees the new backend.
+        core::Plan next = plan;
+        next.backend = challenger;
+        return next;
+      });
 }
 
 template <typename T>
@@ -470,97 +470,41 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::format_trial(
     const CsrMatrix<T>& a, std::span<const T> x) {
   // Same hottest-bin rotation as the kernel trials — a format change pays
   // off where the non-zeros are.
-  const int bin = st.hot[st.next_hot % st.hot.size()];
-  st.next_hot += 1;
-  const auto& vrows = bins.bin(bin);
-  const auto vspan = std::span<const index_t>(vrows);
+  const int bin = next_hot_bin(st);
+  const auto vrows = std::span<const index_t>(bins.bin(bin));
 
-  // The challenger pool is what the estimator deems plausible for this
-  // bin's shape (CSR always included); a pool of just CSR means there is
-  // nothing worth timing.
-  const fmt::BinFeatures feat = fmt::compute_bin_features(a, vspan, bins.unit());
-  const std::vector<fmt::FormatKind> pool = fmt::suitable_formats(feat);
+  // The pool is what the estimator deems plausible for this bin's shape
+  // (CSR always included), so obviously hopeless layouts are never timed.
+  const std::vector<fmt::FormatKind> pool =
+      fmt::suitable_formats(fmt::compute_bin_features(a, vrows, bins.unit()));
   const fmt::FormatKind incumbent = plan.format_for(bin);
-  FormatArms& fa = st.formats[bin];
-  fa.pulls += 1;
-  const fmt::FormatKind challenger =
-      pick_format_challenger(fa, pool, incumbent);
+  ArmTable<fmt::FormatKind>& t = st.formats[bin];
+  const fmt::FormatKind challenger = pick<fmt::FormatKind>(
+      t, pool, pool, incumbent, opts_.epsilon);
   if (challenger == incumbent) return std::nullopt;
 
-  const std::int64_t nnz = bin_nnz(a, vspan, bins.unit());
-  const double flops =
-      2.0 * static_cast<double>(std::max<std::int64_t>(1, nnz));
-
-  // Back-to-back measurement on the bin's planned kernel: incumbent format
-  // first, challenger second, same scratch output. Layout builds happen
-  // outside the timed sections (see bin_format_gflops).
-  double inc_gflops = 0.0;
-  double ch_gflops = 0.0;
-  {
-    trace::TraceSpan span("adapt-trial-format", "adapt");
-    span.arg("bin", bin);
-    span.arg("challenger", static_cast<std::int64_t>(challenger));
-    if (opts_.measure_format_override) {
-      inc_gflops = opts_.measure_format_override(bin, incumbent);
-      ch_gflops = opts_.measure_format_override(bin, challenger);
-    } else {
-      const exec::Backend& backend = backend_for(plan.backend);
-      const kernels::KernelId kernel = plan.kernel_for(bin);
-      std::vector<T> y(static_cast<std::size_t>(a.rows()));
-      inc_gflops =
-          bin_format_gflops(backend, a, x, std::span<T>(y), vspan,
-                            bins.unit(), kernel, incumbent, bin, flops);
-      ch_gflops =
-          bin_format_gflops(backend, a, x, std::span<T>(y), vspan,
-                            bins.unit(), kernel, challenger, bin, flops);
-    }
-  }
-  // A negative measurement is the builder-rejection sentinel: negative-cache
-  // the format (pick_format_challenger excludes it from now on) and record
-  // the trial as a zero-reward sample.
-  if (inc_gflops < 0.0) {
-    fa.rejected[static_cast<std::size_t>(incumbent)] = true;
-    inc_gflops = 0.0;
-  }
-  if (ch_gflops < 0.0) {
-    fa.rejected[static_cast<std::size_t>(challenger)] = true;
-    ch_gflops = 0.0;
-  }
-  fa.arms[static_cast<std::size_t>(incumbent)].add(inc_gflops);
-  fa.arms[static_cast<std::size_t>(challenger)].add(ch_gflops);
-  stats_.trials += 1;
-  stats_.f_trials += 1;
-  if (ch_gflops > 0.0 && inc_gflops > ch_gflops)
-    stats_.regret_s += flops * 1e-9 / ch_gflops - flops * 1e-9 / inc_gflops;
-
-  const Arm& inc_arm = fa.arms[static_cast<std::size_t>(incumbent)];
-  const Arm& ch_arm = fa.arms[static_cast<std::size_t>(challenger)];
-  const auto min_n = static_cast<std::uint64_t>(opts_.format_min_samples);
-  if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
-  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.format_hysteresis)
-    return std::nullopt;
-
-  // Promote: copy the plan, re-stamp this one bin's format, bump the
-  // revision. Bins and kernels are untouched (rebinned stays false); the
-  // serving layer's next AutoSpmv rebuild sees uses_formats() and
-  // materializes the layout through the amortization policy.
-  Promotion promo;
-  promo.plan = plan;
-  promo.plan.revision = plan.revision + 1;
-  for (core::BinPlan& bp : promo.plan.bin_kernels)
-    if (bp.bin_id == bin) bp.format = challenger;
-  promo.gflops = ch_arm.mean_gflops;
-  promo.level = 4;
-  stats_.promotions += 1;
-  stats_.f_promotions += 1;
-  st.format_cooldown = opts_.format_cooldown;
-  trace::emit_instant("adapt-promote-format", "adapt");
-  util::log_info() << "adapt: promoting bin " << bin << " format "
-                   << fmt::format_cname(incumbent) << " -> "
-                   << fmt::format_cname(challenger) << " ("
-                   << inc_arm.mean_gflops << " -> " << ch_arm.mean_gflops
-                   << " GFLOP/s, revision " << promo.plan.revision << ")";
-  return promo;
+  const double flops = flops_of(bin_nnz(a, vrows, bins.unit()));
+  // Both formats run the bin's planned kernel into the same scratch output.
+  const exec::Backend& backend = backend_for(plan.backend);
+  const kernels::KernelId kernel = plan.kernel_for(bin);
+  std::vector<T> y;
+  return run_trial(
+      st, t,
+      Trial<fmt::FormatKind>{Level::Format, bin, incumbent, challenger, flops},
+      plan,
+      [&](fmt::FormatKind f) {
+        y.resize(static_cast<std::size_t>(a.rows()));
+        return bin_gflops(backend, a, x, std::span<T>(y), vrows, bins.unit(),
+                          kernel, f, bin, flops);
+      },
+      [&] {
+        // The serving layer's next AutoSpmv rebuild sees uses_formats()
+        // and materializes the layout through the amortization policy.
+        core::Plan next = plan;
+        for (core::BinPlan& bp : next.bin_kernels)
+          if (bp.bin_id == bin) bp.format = challenger;
+        return next;
+      });
 }
 
 template <typename T>
@@ -571,25 +515,24 @@ bool BanditTuner<T>::ensure_state(KeyState& st, const core::Plan& plan,
       st.backend != static_cast<int>(plan.backend) ||
       st.plan_revision != plan.revision) {
     if (st.backend != static_cast<int>(plan.backend)) {
-      // Backend switched (a backend promotion landed): every kernel- and
-      // unit-arm mean was timed on the old execution engine and is
-      // meaningless on the new one. The backend arms themselves persist —
-      // they are cross-backend comparisons by construction.
-      st.bins.clear();
-      st.units.clear();
+      // Backend switched (a backend promotion landed): every kernel-,
+      // unit- and format-arm mean was timed on the old execution engine.
+      // The backend arms persist — they are cross-backend comparisons.
+      st.kernels.clear();
+      st.units = {};
       st.formats.clear();
       st.next_hot = 0;
     } else if (st.unit != bins.unit()) {
       // New key, or re-binned at a different granularity: bin ids now
-      // cover different rows, so every arm measurement is stale.
-      st.bins.clear();
+      // cover different rows, so every per-bin measurement is stale.
+      st.kernels.clear();
       st.formats.clear();
       st.next_hot = 0;
     }
     // Otherwise the plan moved at the same granularity (a promotion
-    // landed, or a warm re-plan). Arm means are (bin, kernel) timings of
-    // the matrix itself and stay valid, so keep them — resetting here
-    // would restart exploration from scratch after every promotion.
+    // landed, or a warm re-plan). Arm means are per-bin timings of the
+    // matrix itself and stay valid, so keep them — resetting here would
+    // restart exploration from scratch after every promotion.
     st.unit = bins.unit();
     st.backend = static_cast<int>(plan.backend);
     st.plan_revision = plan.revision;
@@ -624,133 +567,46 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::observe(
     return std::nullopt;
 
   // The mutex covers the whole trial (state + rng + the measurement
-  // itself): trials are rare (trial_fraction of requests) and cheap (two
-  // single-bin launches), and serializing them keeps back-to-back pairs
-  // honest — two concurrent trials would time each other's contention.
+  // itself): trials are rare (trial_fraction of requests) and cheap, and
+  // serializing them keeps back-to-back pairs honest — two concurrent
+  // trials would time each other's contention.
   std::lock_guard<std::mutex> lock(mutex_);
   if (rng_.uniform() >= opts_.trial_fraction) return std::nullopt;
 
   KeyState& st = states_[key];
   if (!ensure_state(st, plan, bins, a)) return std::nullopt;
 
-  // Second level: divert a share of trials to whole-plan U exploration.
-  // The cooldown after a U switch ticks down on kernel trials, so a fresh
-  // incumbent gets re-measured at the new granularity before it can be
-  // challenged again. Single-bin plans have no bin structure to re-tune.
-  if (opts_.explore_units && !plan.single_bin && opts_.unit_pool.size() >= 2) {
-    if (st.unit_cooldown > 0) {
-      st.unit_cooldown -= 1;
-    } else if (rng_.uniform() < opts_.unit_trial_fraction) {
-      return unit_trial(st, plan, bins, a, x);
-    }
+  // Each enabled extra level may divert the trial, in this fixed order
+  // (the rng draws are: trial, then U, backend, format, then the
+  // picker's epsilon). A level in cooldown ticks down instead of drawing.
+  // Single-bin plans have no bin structure to re-tune, and format-blind
+  // backends (clsim) stay CSR-everywhere.
+  using TrialFn = std::optional<Promotion> (BanditTuner::*)(
+      KeyState&, const core::Plan&, const binning::BinSet&,
+      const CsrMatrix<T>&, std::span<const T>);
+  struct Diversion {
+    Level level;
+    bool enabled;
+    TrialFn run;
+  };
+  const Diversion diversions[] = {
+      {Level::Unit,
+       opts_.explore_units && !plan.single_bin && opts_.unit_pool.size() >= 2,
+       &BanditTuner::unit_trial},
+      {Level::Backend, opts_.explore_backends, &BanditTuner::backend_trial},
+      {Level::Format,
+       opts_.explore_formats && backend_for(plan.backend).supports_formats(),
+       &BanditTuner::format_trial},
+  };
+  for (const Diversion& d : diversions) {
+    if (!d.enabled) continue;
+    int& cooldown = st.cooldown[static_cast<int>(d.level)];
+    if (cooldown > 0)
+      cooldown -= 1;
+    else if (rng_.uniform() < opts_.explore_fraction)
+      return (this->*d.run)(st, plan, bins, a, x);
   }
-
-  // Third level: divert a share of the remaining trials to whole-plan
-  // backend exploration. Drawn after the U diversion so a kernel trial is
-  // still the common case; the cooldown ticks down on trials that reach
-  // this point, letting a freshly promoted backend settle first.
-  if (opts_.explore_backends) {
-    if (st.backend_cooldown > 0) {
-      st.backend_cooldown -= 1;
-    } else if (rng_.uniform() < opts_.backend_trial_fraction) {
-      return backend_trial(st, plan, bins, a, x);
-    }
-  }
-
-  // Fourth level: divert a share of the remaining trials to per-bin format
-  // exploration. Gated on the plan's backend actually being able to run
-  // alternative layouts — a clsim plan stays CSR-everywhere, keeping the
-  // two backends differentially comparable.
-  if (opts_.explore_formats &&
-      backend_for(plan.backend).supports_formats()) {
-    if (st.format_cooldown > 0) {
-      st.format_cooldown -= 1;
-    } else if (rng_.uniform() < opts_.format_trial_fraction) {
-      return format_trial(st, plan, bins, a, x);
-    }
-  }
-
-  const int bin = st.hot[st.next_hot % st.hot.size()];
-  st.next_hot += 1;
-  const kernels::KernelId incumbent = plan.kernel_for(bin);
-  BinArms& ba = st.bins[bin];
-  ba.pulls += 1;
-  const kernels::KernelId challenger = pick_challenger(ba, incumbent);
-
-  const auto& vrows = bins.bin(bin);
-  const std::int64_t nnz =
-      bin_nnz(a, std::span<const index_t>(vrows), bins.unit());
-  const double flops = 2.0 * static_cast<double>(std::max<std::int64_t>(1, nnz));
-
-  // Back-to-back measurement: incumbent first, challenger second, same
-  // scratch output. GFLOP/s = 2*nnz / seconds * 1e-9.
-  double inc_gflops = 0.0;
-  double ch_gflops = 0.0;
-  {
-    trace::TraceSpan span("adapt-trial", "adapt");
-    span.arg("bin", bin);
-    span.arg("challenger", static_cast<std::int64_t>(challenger));
-    if (opts_.measure_override) {
-      inc_gflops = opts_.measure_override(incumbent, bin);
-      ch_gflops = opts_.measure_override(challenger, bin);
-    } else {
-      std::vector<T> y(static_cast<std::size_t>(a.rows()));
-      // Both launches on the plan's own backend: kernel arms compare
-      // thread shapes under the engine the plan actually runs on.
-      const exec::Backend& backend = backend_for(plan.backend);
-      try {
-        util::Timer t;
-        backend.run_binned(incumbent, a, x, std::span<T>(y),
-                           std::span<const index_t>(vrows), bins.unit());
-        inc_gflops = flops / std::max(t.elapsed_s(), 1e-12) * 1e-9;
-        t.reset();
-        backend.run_binned(challenger, a, x, std::span<T>(y),
-                           std::span<const index_t>(vrows), bins.unit());
-        ch_gflops = flops / std::max(t.elapsed_s(), 1e-12) * 1e-9;
-      } catch (const std::exception& e) {
-        // A kernel that cannot run on this bin earns a zero-reward sample;
-        // the bandit learns to avoid it instead of crashing the worker.
-        util::log_warn() << "adapt trial failed (bin " << bin << ", "
-                         << kernels::kernel_name(challenger)
-                         << "): " << e.what();
-      }
-    }
-  }
-
-  ba.arms[static_cast<std::size_t>(incumbent)].add(inc_gflops);
-  ba.arms[static_cast<std::size_t>(challenger)].add(ch_gflops);
-  stats_.trials += 1;
-  // Regret = wall time lost to a challenger slower than the incumbent
-  // (what exploration cost us on this trial).
-  if (ch_gflops > 0.0 && inc_gflops > ch_gflops)
-    stats_.regret_s += flops * 1e-9 / ch_gflops - flops * 1e-9 / inc_gflops;
-
-  const Arm& inc_arm = ba.arms[static_cast<std::size_t>(incumbent)];
-  const Arm& ch_arm = ba.arms[static_cast<std::size_t>(challenger)];
-  const auto min_n = static_cast<std::uint64_t>(opts_.min_samples);
-  if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
-  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.hysteresis)
-    return std::nullopt;
-
-  // Promote: copy the plan, swap this bin's kernel, bump the revision.
-  Promotion promo;
-  promo.plan = plan;
-  promo.plan.revision = plan.revision + 1;
-  for (core::BinPlan& bp : promo.plan.bin_kernels)
-    if (bp.bin_id == bin) bp.kernel = challenger;
-  promo.gflops = ch_arm.mean_gflops;
-  stats_.promotions += 1;
-  trace::emit_instant("adapt-promote", "adapt");
-  util::log_info() << "adapt: promoting bin " << bin << " "
-                   << kernels::kernel_name(incumbent) << " -> "
-                   << kernels::kernel_name(challenger) << " ("
-                   << inc_arm.mean_gflops << " -> " << ch_arm.mean_gflops
-                   << " GFLOP/s, revision " << promo.plan.revision << ")";
-  // The promoted plan's incumbent on this bin is now the challenger. Arm
-  // means survive the revision bump, and the old incumbent's mean trails
-  // the new one by at least the hysteresis factor, so it cannot flap
-  // straight back.
-  return promo;
+  return kernel_trial(st, plan, bins, a, x);
 }
 
 template <typename T>
@@ -767,25 +623,22 @@ typename BanditTuner<T>::LatencyVariant BanditTuner<T>::next_variant(
 
   const int bin = st.hot[st.next_hot % st.hot.size()];
   v.bin = bin;
+  v.incumbent = plan.kernel_for(bin);
+  v.kernel = v.incumbent;
   if (!st.l_challenge_next) {
     // Incumbent iteration: execute the plan verbatim and credit its own
     // kernel on the rotated hot bin. The paired challenger iteration that
     // follows differs only on that bin, so the whole-plan latencies are an
     // apples-to-apples comparison of the two kernels.
-    v.kernel = plan.kernel_for(bin);
-    v.incumbent = v.kernel;
     st.l_challenge_next = true;
     return v;
   }
   st.l_challenge_next = false;
   st.next_hot += 1;  // move to the next hot bin after each paired round
-  BinArms& ba = st.bins[bin];
-  ba.pulls += 1;
-  const kernels::KernelId incumbent = plan.kernel_for(bin);
-  v.kernel = incumbent;
-  v.incumbent = incumbent;
-  const kernels::KernelId challenger = pick_challenger(ba, incumbent);
-  if (challenger == incumbent) return v;
+  const std::span<const kernels::KernelId> pool(opts_.kernel_pool);
+  const kernels::KernelId challenger =
+      pick(st.kernels[bin], pool, pool, v.incumbent, opts_.epsilon);
+  if (challenger == v.incumbent) return v;
   v.kernel = challenger;
   v.challenger = true;
   for (core::BinPlan& bp : v.plan.bin_kernels)
@@ -798,50 +651,25 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::feedback(
     const serve::Fingerprint& key, const LatencyVariant& variant,
     double seconds, std::int64_t nnz) {
   if (variant.bin < 0) return std::nullopt;
-  const double flops =
-      2.0 * static_cast<double>(std::max<std::int64_t>(1, nnz));
-  const double gflops = flops / std::max(seconds, 1e-12) * 1e-9;
+  const double flops = flops_of(nnz);
+  const double gflops = gflops_of(flops, seconds);
 
   std::lock_guard<std::mutex> lock(mutex_);
   KeyState& st = states_[key];
-  BinArms& ba = st.bins[variant.bin];
-  ba.arms[static_cast<std::size_t>(variant.kernel)].add(gflops);
-  if (!variant.challenger) return std::nullopt;
-  stats_.l_trials += 1;
-
-  const kernels::KernelId incumbent = variant.incumbent;
-  if (incumbent == variant.kernel) return std::nullopt;
-  const Arm& inc_arm = ba.arms[static_cast<std::size_t>(incumbent)];
-  const Arm& ch_arm = ba.arms[static_cast<std::size_t>(variant.kernel)];
-  // Regret: wall time this iteration lost relative to the incumbent's
-  // running mean (exploration cost of serving the challenger for real).
-  if (gflops > 0.0 && inc_arm.mean_gflops > gflops)
-    stats_.regret_s +=
-        flops * 1e-9 / gflops - flops * 1e-9 / inc_arm.mean_gflops;
-  const auto min_n = static_cast<std::uint64_t>(opts_.min_samples);
-  if (inc_arm.samples < min_n || ch_arm.samples < min_n) return std::nullopt;
-  if (ch_arm.mean_gflops <= inc_arm.mean_gflops * opts_.hysteresis)
+  ArmTable<kernels::KernelId>& t = st.kernels[variant.bin];
+  if (!variant.challenger) {
+    t.arms[variant.kernel].add(gflops);
     return std::nullopt;
-
-  // Promote: the variant plan already carries the challenger on the bin —
-  // stamp it as a new revision. The session applies it (and its SpMM width
-  // provenance) exactly like a shadow promotion.
-  Promotion promo;
-  promo.plan = variant.plan;
-  promo.plan.revision += 1;
-  promo.gflops = ch_arm.mean_gflops;
-  promo.level = 1;
-  stats_.promotions += 1;
-  stats_.l_promotions += 1;
-  st.plan_revision = promo.plan.revision;
-  trace::emit_instant("adapt-promote-latency", "adapt");
-  util::log_info() << "adapt: latency-feedback promoting bin " << variant.bin
-                   << " " << kernels::kernel_name(incumbent) << " -> "
-                   << kernels::kernel_name(variant.kernel) << " ("
-                   << inc_arm.mean_gflops << " -> " << ch_arm.mean_gflops
-                   << " GFLOP/s whole-plan, revision " << promo.plan.revision
-                   << ")";
-  return promo;
+  }
+  // The variant plan already carries the challenger on the bin; the
+  // session applies a promotion (and its SpMM width provenance) exactly
+  // like a shadow promotion.
+  return settle(st, t,
+                Trial<kernels::KernelId>{Level::Kernel, variant.bin,
+                                         variant.incumbent, variant.kernel,
+                                         flops},
+                std::nullopt, gflops, variant.plan,
+                [&] { return variant.plan; });
 }
 
 template <typename T>

@@ -5,98 +5,68 @@
 // the predictor mispredicts, the service is stuck with a slow plan. The
 // BanditTuner fixes that without a stop-the-world retune: for a configurable
 // fraction of served requests, the worker that just executed a batch also
-// shadow-measures ONE alternative kernel on one of the plan's hottest bins
-// (most non-zeros = most leverage), back-to-back with the incumbent so the
-// two samples see the same cache/frequency state. Per-bin kernel arms
-// accumulate mean GFLOP/s; when a challenger has enough samples and beats
-// the incumbent by the hysteresis margin, observe() returns a promoted Plan
-// copy (revision + 1) for the caller to swap into its PlanCache.
+// shadow-measures ONE alternative against the incumbent, back-to-back so
+// the two samples see the same cache/frequency state. When a challenger has
+// enough samples and beats the incumbent by the hysteresis margin, observe()
+// returns a promoted Plan copy (revision + 1) for the caller to swap into
+// its PlanCache.
 //
-// Anti-flapping: promotion needs `min_samples` on BOTH arms and a strict
-// `hysteresis` ratio (e.g. 1.10 = challenger must be 10% faster on the
-// running mean), so measurement noise cannot ping-pong two near-equal
-// kernels. Promotions bump the plan revision; a revision change observed on
-// a key resets that key's arms (the old measurements described the old
-// plan's incumbents).
+// Four arm levels, all built from the same three pieces:
 //
-// Second level (opt-in via explore_units): the stage-1 predictor can also
-// get the binning granularity U itself wrong, and no amount of per-bin
-// kernel swapping recovers from a bad bin structure. A `unit_trial_fraction`
-// share of trials therefore shadow-measures the WHOLE plan at a neighboring
-// granularity from the paper's preset grid, scored in whole-plan GFLOP/s:
-// the matrix is re-binned at the challenger U and each bin's kernel is
-// seeded from what the first level already learned (bin id approximates the
-// average row length inside the bin regardless of U, so kernel-arm
-// knowledge transfers across granularities). A confident win (unit_min_
-// samples on both U arms, unit_hysteresis margin) promotes a fully rebuilt
-// plan — re-binned, revision bumped, tuned-U provenance set — through the
-// same PlanCache::promote path, so the PlanStore write-through persists the
-// corrected U and a restart warm-starts with it. U-switches are rarer and
-// costlier than kernel swaps, so they get their own stronger hysteresis
-// plus a `unit_cooldown` of trials after each switch; per-U arm means are
-// whole-plan measurements of the matrix and survive re-binning, which stops
-// an immediate ping-pong back.
+//   level 1  kernel   per (bin, kernel), GFLOP/s on one hot bin
+//   level 2  unit     per granularity U, whole-plan GFLOP/s (explore_units)
+//   level 3  backend  per exec::BackendKind, whole-plan (explore_backends)
+//   level 4  format   per (bin, fmt::FormatKind), on one hot bin
+//                     (explore_formats; format-capable backends only)
 //
-// Third level (opt-in via explore_backends): the execution backend itself
-// (spmv::exec — clsim simulation vs. the native SIMD engine) is a plan
-// property, and which one is faster depends on the matrix shape. A
-// `backend_trial_fraction` share of trials shadow-measures the WHOLE plan
-// on the alternative backend, back-to-back with the incumbent backend on
-// identical bins and kernels. Backend arms are whole-plan GFLOP/s keyed by
-// BackendKind; a confident win (backend_min_samples on both, the stricter
-// backend_hysteresis margin) promotes a plan copy re-stamped with the
-// challenger backend (revision bumped, bins untouched — rebinned stays
-// false). A backend switch invalidates every kernel- and unit-arm mean
-// (they were timed on the old backend), so those reset while the backend
-// arms themselves persist — which is what stops an immediate flap back.
+//  * One arm table per level (per bin for kernels and formats): a running
+//    mean per arm plus the set of arms whose layout build was rejected —
+//    a rejection is deterministic, so the arm is never picked again.
+//  * One challenger picker: unexplored arms first, then epsilon-greedy
+//    over the live non-incumbent arms. The U level's unexplored arms are
+//    the incumbent's grid neighbors (hill-climbing); the backend level has
+//    one non-incumbent arm and no random draw.
+//  * One settle step: record the paired samples, the regret and the
+//    per-level counters, then apply one promotion rule — `min_samples` on
+//    both arms, the challenger's mean above `hysteresis` times the
+//    incumbent's — and start the level's `cooldown` (levels 2-4).
 //
-// Fourth level (opt-in via explore_formats): each bin's physical layout
-// (spmv::fmt — CSR vs. ELL-packed vs. COO vs. delta-compressed columns) is
-// a per-bin plan property on format-capable backends. A
-// `format_trial_fraction` share of trials shadow-measures ONE alternative
-// layout on one hot bin, back-to-back with the bin's incumbent format on
-// the same kernel. The challenger pool is fmt::suitable_formats() over the
-// bin's features, so obviously-hopeless layouts are never timed, and a
-// format whose layout build the builder rejects is negative-cached per bin
-// — the deterministic failure is attempted once, not on every trial; the
-// transformation itself runs OUTSIDE the timed section (arms compare
-// steady-state execution — PlanLayouts' amortization policy separately
-// decides when a build is worth paying at serving time). Format arms are
-// per-(bin, format) GFLOP/s; a confident win (format_min_samples on both,
-// format_hysteresis margin) promotes a plan copy with that one bin's
-// format re-stamped (revision bumped, bins untouched). Format arms reset
-// alongside kernel arms on a unit or backend change — they were timed on
-// that bin structure and engine.
+// Each observe() trial is a kernel trial unless one of the enabled extra
+// levels diverts it: U, then backend, then format, each with probability
+// `explore_fraction` once its cooldown has run out. A U promotion re-bins
+// the matrix (kernels seeded from the level-1 arms: bin id approximates the
+// average row length regardless of U) and carries tuned-U provenance; a
+// backend or format promotion re-stamps the plan. Arm means are reset only
+// when their timings went stale: a granularity change resets the kernel
+// and format arms (bin ids cover other rows), a backend change resets every
+// arm but the backend arms. The arms that persist hold the evidence that
+// demoted the old incumbent, which with the hysteresis margin stops an
+// immediate flap back.
 //
 // Latency-feedback path (solver loops — spmv::iter): a workload that runs
-// the SAME plan hundreds of times back-to-back (power iteration, CG) does
-// not need shadow launches at all — every iteration IS a measurement. The
-// session asks next_variant() which plan to execute this iteration (the
-// incumbent, or a copy with ONE hot bin's kernel swapped to a challenger,
-// alternating so both arms accumulate paired whole-plan samples under
-// identical loop conditions), times the real iteration, and reports the
-// wall time through feedback(). feedback() scores the variant in whole-plan
-// GFLOP/s and feeds the same per-bin kernel arms the shadow path uses, so
-// the min_samples + hysteresis promotion machinery is shared — a promotion
-// from feedback() is provenance-stamped like a shadow promotion but counted
-// separately (adapt.l_trials / adapt.l_promotions; l_trials is NOT folded
-// into adapt.trials, so a pure latency-feedback session reports trials ==
-// 0 == "no shadow launches").
+// the SAME plan hundreds of times back-to-back does not need shadow
+// launches — every iteration IS a measurement. next_variant() alternates
+// the incumbent and a copy with ONE hot bin's kernel swapped to a
+// challenger; feedback() scores the timed iteration in whole-plan GFLOP/s
+// into the same kernel arms and runs the same settle step. Its trials count
+// as adapt.l_trials, NOT adapt.trials, so a pure latency-feedback session
+// reports trials == 0 == "no shadow launches".
 //
 // Everything is recorded: prof counters (adapt.trials / adapt.promotions /
-// adapt.regret plus adapt.u_trials / adapt.u_promotions, adapt.b_trials /
-// adapt.b_promotions, adapt.f_trials / adapt.f_promotions and
-// adapt.l_trials / adapt.l_promotions) via stats(), and trace spans
-// "adapt-trial"/"adapt-promote" plus "adapt-trial-u"/"adapt-promote-u",
-// "adapt-trial-backend"/"adapt-promote-backend", "adapt-trial-format"/
+// adapt.regret plus the u_, b_, f_ and l_ trial/promotion pairs) via
+// stats(), and trace spans "adapt-trial", "adapt-trial-u",
+// "adapt-trial-backend", "adapt-trial-format" with instants
+// "adapt-promote", "adapt-promote-u", "adapt-promote-backend",
 // "adapt-promote-format" and "adapt-promote-latency" in category "adapt".
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -114,117 +84,80 @@
 
 namespace spmv::adapt {
 
+/// The arm levels, numbered like Promotion::level and
+/// prof::Exemplar::promo_level.
+enum class Level : std::uint8_t {
+  Kernel = 1,
+  Unit = 2,
+  Backend = 3,
+  Format = 4,
+};
+
 struct AdaptOptions {
   /// Fraction of observe() calls that run a shadow trial (the rest return
   /// immediately after one rng draw).
   double trial_fraction = 0.1;
   /// Samples required on BOTH the incumbent and the challenger arm before
-  /// a promotion is considered.
+  /// a promotion is considered, on every level.
   int min_samples = 3;
   /// Challenger's mean GFLOP/s must exceed incumbent's mean times this
-  /// ratio to promote (1.10 = 10% better). Values <= 1 promote on any win.
+  /// ratio to promote (1.10 = 10% better), on every level. Values <= 1
+  /// promote on any win.
   double hysteresis = 1.10;
-  /// Epsilon-greedy exploration rate (ignored when use_ucb is true).
+  /// Epsilon-greedy exploration rate of the challenger picker.
   double epsilon = 0.25;
-  /// Select challengers by UCB1 instead of epsilon-greedy.
-  bool use_ucb = false;
-  /// How many of the plan's hottest bins (by covered nnz) to rotate trials
-  /// through.
+  /// How many of the plan's hottest bins (by covered nnz) to rotate
+  /// kernel and format trials through.
   int hot_bins = 2;
   /// Challenger kernel pool; empty = kernels::all_kernels().
   std::vector<kernels::KernelId> kernel_pool;
   /// Deterministic seed for trial sampling and exploration.
   std::uint64_t seed = 42;
-  /// Test seam: when set, replaces the timed kernel launches — returns the
-  /// "measured" GFLOP/s for (kernel, bin). Lets tests rig the reward
-  /// landscape deterministically (convergence, hysteresis under noise).
-  std::function<double(kernels::KernelId, int)> measure_override;
-
-  // --- second level: online exploration of the binning unit U ---------
+  /// Trials to skip a level's diversion after that level promoted (U,
+  /// backend and format levels), letting the new incumbent settle before
+  /// it can be challenged again.
+  int cooldown = 8;
+  /// Of the trials observe() runs, the share each enabled extra level
+  /// diverts to itself (U first, then backend, then format; the rest stay
+  /// kernel trials).
+  double explore_fraction = 0.25;
 
   /// Enable whole-plan shadow trials at neighboring granularities.
   bool explore_units = false;
-  /// Of the trials observe() runs, the share diverted to U exploration
-  /// (the rest stay per-bin kernel trials).
-  double unit_trial_fraction = 0.25;
-  /// Samples required on BOTH U arms before a U promotion is considered.
-  int unit_min_samples = 3;
-  /// Challenger U's whole-plan mean GFLOP/s must exceed the incumbent's by
-  /// this ratio. Stricter than the kernel-level `hysteresis` by default:
-  /// a U-switch rebuilds the whole plan, so flapping is costlier.
-  double unit_hysteresis = 1.15;
-  /// Trials to skip U exploration after a U promotion, letting the new
-  /// incumbent accumulate samples before it can be challenged again.
-  int unit_cooldown = 8;
   /// Candidate granularities; empty = binning::default_granularity_pool()
   /// (the paper's 10 .. 10^6 ladder). Sorted and deduplicated at
   /// construction.
   std::vector<index_t> unit_pool;
-  /// Test seam for U trials: when set, replaces the whole-plan timed runs
-  /// — returns the "measured" whole-plan GFLOP/s at granularity u.
-  std::function<double(index_t)> measure_unit_override;
-
-  // --- third level: online exploration of the execution backend -------
-
   /// Enable whole-plan shadow trials on the alternative exec backend.
   bool explore_backends = false;
-  /// Of the trials observe() runs, the share diverted to backend trials
-  /// (drawn after the U diversion; the rest stay per-bin kernel trials).
-  double backend_trial_fraction = 0.2;
-  /// Samples required on BOTH backend arms before a promotion.
-  int backend_min_samples = 3;
-  /// Challenger backend's whole-plan mean GFLOP/s must exceed the
-  /// incumbent's by this ratio. Strictest of the three levels: a backend
-  /// switch throws away every kernel- and unit-arm measurement.
-  double backend_hysteresis = 1.25;
-  /// Trials to skip backend exploration after a backend promotion.
-  int backend_cooldown = 8;
-  /// Test seam for backend trials: when set, replaces the whole-plan timed
-  /// runs — returns the "measured" whole-plan GFLOP/s on backend `kind`.
-  std::function<double(exec::BackendKind)> measure_backend_override;
-
-  // --- fourth level: online exploration of per-bin physical formats ---
-
   /// Enable per-bin shadow trials of alternative physical layouts. Only
   /// effective when the plan's backend supports formats (spmv::fmt);
   /// clsim plans stay CSR-everywhere and never divert trials here.
   bool explore_formats = false;
-  /// Of the trials observe() runs, the share diverted to format trials
-  /// (drawn after the U and backend diversions).
-  double format_trial_fraction = 0.2;
-  /// Samples required on BOTH format arms before a promotion.
-  int format_min_samples = 3;
-  /// Challenger format's mean GFLOP/s on the bin must exceed the
-  /// incumbent's by this ratio. A format swap costs a one-off layout
-  /// build at serving time, so it sits between the kernel and unit bars.
-  double format_hysteresis = 1.15;
-  /// Trials to skip format exploration after a format promotion.
-  int format_cooldown = 8;
-  /// Test seam for format trials: when set, replaces the timed bin runs —
-  /// returns the "measured" GFLOP/s for (bin, format). A negative value is
-  /// the builder-rejection sentinel: the format is negative-cached for the
-  /// bin (excluded from future challenger picks) and the trial records a
-  /// zero-reward sample.
-  std::function<double(int, fmt::FormatKind)> measure_format_override;
+
+  /// Test seam: when set, replaces every timed launch of a shadow trial.
+  /// Called for the incumbent arm, then the challenger, with the level,
+  /// the trialed bin (-1 on the whole-plan unit and backend levels) and
+  /// the arm (the KernelId, U, BackendKind or FormatKind as an integer);
+  /// returns the "measured" GFLOP/s. A negative value is the
+  /// builder-rejection sentinel: the arm is excluded from future picks and
+  /// the trial records a zero-reward sample.
+  std::function<double(Level, int, std::int64_t)> measure_override;
 };
 
 template <typename T>
 class BanditTuner {
  public:
-  /// A plan improvement found by observe(): the refined plan (revision
-  /// already bumped) and the challenger's mean throughput — on the trialed
-  /// bin for a kernel swap, or whole-plan for a U promotion.
+  /// A plan improvement found by observe() or feedback(): the refined plan
+  /// (revision already bumped) and the challenger's mean throughput — on
+  /// the trialed bin for kernel and format swaps, whole-plan otherwise.
   struct Promotion {
     core::Plan plan;
     double gflops = 0.0;
-    /// True for a U promotion: the plan was rebuilt at a different
-    /// granularity (structurally different bins), not just given a new
-    /// kernel on one bin. Backend promotions keep the bins and leave this
-    /// false.
-    bool rebinned = false;
-    /// Which arm level won: 1 kernel, 2 unit (U), 3 backend, 4 format —
-    /// matching prof::Exemplar::promo_level, so a latency exemplar can
-    /// name the provenance of the plan change that preceded it.
+    /// Which arm level won (a Level value): 1 kernel, 2 unit (U, the plan
+    /// was re-binned), 3 backend, 4 format — matching
+    /// prof::Exemplar::promo_level, so a latency exemplar can name the
+    /// provenance of the plan change that preceded it.
     std::uint8_t level = 1;
   };
 
@@ -272,9 +205,9 @@ class BanditTuner {
 
   /// Report a timed iteration of `variant`. Scores it as whole-plan
   /// GFLOP/s (2 * max(1, nnz) / seconds) into the (bin, kernel) arm and
-  /// runs the shared min_samples + hysteresis promotion check. Returns a
-  /// Promotion (level 1, revision bumped) when this sample tipped the
-  /// challenger past the bar; the caller owns applying it.
+  /// runs the shared settle step. Returns a Promotion (level 1, revision
+  /// bumped) when this sample tipped the challenger past the bar; the
+  /// caller owns applying it.
   std::optional<Promotion> feedback(const serve::Fingerprint& key,
                                     const LatencyVariant& variant,
                                     double seconds, std::int64_t nnz);
@@ -282,7 +215,7 @@ class BanditTuner {
   [[nodiscard]] prof::AdaptStats stats() const;
 
  private:
-  /// Running per-(bin, kernel) reward estimate.
+  /// Running mean of one arm's GFLOP/s samples.
   struct Arm {
     std::uint64_t samples = 0;
     double mean_gflops = 0.0;
@@ -292,53 +225,44 @@ class BanditTuner {
     }
   };
 
-  struct BinArms {
-    Arm arms[kernels::kKernelCount];
-    std::uint64_t pulls = 0;  ///< trials on this bin (for UCB)
+  /// One level's arm space on one key (kernels and formats: on one bin).
+  template <typename Key>
+  struct ArmTable {
+    std::map<Key, Arm> arms;
+    /// Arms whose layout build failed: deterministic dead weight, never
+    /// picked again.
+    std::set<Key> rejected;
   };
 
-  /// Per-(bin, format) reward estimates (the fourth-level arm space).
-  struct FormatArms {
-    Arm arms[fmt::kFormatCount];
-    /// Negative cache of builder rejections: a format whose layout build
-    /// failed on this bin is deterministic dead weight (the build would
-    /// fail identically every time), so it is excluded from the challenger
-    /// pool instead of re-attempted.
-    bool rejected[fmt::kFormatCount] = {};
-    std::uint64_t pulls = 0;
+  /// One shadow or latency trial: what was compared, where, and the flops
+  /// one measured launch moved (for regret).
+  template <typename Key>
+  struct Trial {
+    Level level;
+    int bin;  ///< -1 on whole-plan levels
+    Key incumbent;
+    Key challenger;
+    double flops;
   };
 
-  /// Per-fingerprint bandit state. Kernel-arm means are (bin, kernel)
-  /// measurements of the matrix itself, so they survive plan-revision
-  /// bumps (promotions); only a granularity change invalidates them (bin
-  /// ids then cover different rows) and resets them. Unit-arm means are
-  /// whole-plan measurements, valid across re-binning, so they persist for
-  /// the key's whole lifetime — that persistence is what prevents U
-  /// ping-pong after a switch.
+  /// Per-fingerprint bandit state. Kernel- and format-arm means are
+  /// per-bin measurements of the matrix itself, so they survive plan
+  /// revision bumps; a granularity change resets them (bin ids then cover
+  /// other rows). Unit arms are whole-plan measurements, valid across
+  /// re-binning; a backend change resets everything but the backend arms.
   struct KeyState {
     std::uint64_t plan_revision = 0;
-    index_t unit = -1;          ///< granularity the kernel arms were measured at
+    index_t unit = -1;          ///< granularity the bin arms were measured at
+    int backend = -1;           ///< backend the arms were measured on
     std::vector<int> hot;       ///< hottest occupied bins, descending nnz
     std::size_t next_hot = 0;   ///< round-robin cursor over `hot`
-    std::unordered_map<int, BinArms> bins;
-    /// Whole-plan GFLOP/s per granularity (the second-level arm space).
-    std::unordered_map<index_t, Arm> units;
-    /// Remaining trials before the next U trial is allowed.
-    int unit_cooldown = 0;
-    /// Backend the kernel/unit arms were measured on (-1 = unset). A
-    /// change invalidates both arm spaces — timings on one backend say
-    /// nothing about the other — but the backend arms themselves persist.
-    int backend = -1;
-    /// Whole-plan GFLOP/s per exec::BackendKind (the third-level arms).
-    std::unordered_map<int, Arm> backends;
-    /// Remaining trials before the next backend trial is allowed.
-    int backend_cooldown = 0;
-    /// Per-bin format arms (fourth level). Timings describe one bin
-    /// structure on one backend, so they reset with the kernel arms on a
-    /// unit or backend change.
-    std::unordered_map<int, FormatArms> formats;
-    /// Remaining trials before the next format trial is allowed.
-    int format_cooldown = 0;
+    std::unordered_map<int, ArmTable<kernels::KernelId>> kernels;
+    ArmTable<index_t> units;
+    ArmTable<exec::BackendKind> backends;
+    std::unordered_map<int, ArmTable<fmt::FormatKind>> formats;
+    /// Remaining trials before each level may divert again, indexed by
+    /// Level (the kernel level never diverts, so its entry goes unread).
+    int cooldown[5] = {};
     /// Latency-feedback phase: next_variant() alternates incumbent and
     /// challenger iterations so the arms accumulate paired samples.
     bool l_challenge_next = false;
@@ -351,11 +275,41 @@ class BanditTuner {
   bool ensure_state(KeyState& st, const core::Plan& plan,
                     const binning::BinSet& bins, const CsrMatrix<T>& a);
 
-  kernels::KernelId pick_challenger(const BinArms& ba,
-                                    kernels::KernelId incumbent);
-  index_t pick_unit_challenger(const KeyState& st, index_t incumbent);
+  /// The one challenger picker: the first unexplored live arm of `fresh`,
+  /// else epsilon-greedy over the live arms of `pool` (live = not the
+  /// incumbent, not rejected). Returns the incumbent when nothing is live.
+  template <typename Key>
+  Key pick(const ArmTable<Key>& t, std::span<const Key> fresh,
+           std::span<const Key> pool, Key incumbent, double epsilon);
+
+  /// Time both arms of a shadow trial back-to-back inside the level's trace
+  /// span (or ask the measurement seam), then settle it. `time_arm` runs
+  /// one arm for real and returns its GFLOP/s.
+  template <typename Key, typename TimeArm, typename NextPlan>
+  std::optional<Promotion> run_trial(KeyState& st, ArmTable<Key>& t,
+                                     const Trial<Key>& tr,
+                                     const core::Plan& plan,
+                                     TimeArm&& time_arm, NextPlan&& next_plan);
+
+  /// The one settle step: record the samples (`inc_gflops` is absent on
+  /// the latency path, whose incumbent ran its own iteration), regret and
+  /// counters, then apply the promotion rule. On a promotion, builds the
+  /// plan via `next_plan()` and stamps revision, level, telemetry and the
+  /// level's cooldown.
+  template <typename Key, typename NextPlan>
+  std::optional<Promotion> settle(KeyState& st, ArmTable<Key>& t,
+                                  const Trial<Key>& tr,
+                                  std::optional<double> inc_gflops,
+                                  double ch_gflops, const core::Plan& plan,
+                                  NextPlan&& next_plan);
+
   kernels::KernelId seed_kernel(const KeyState& st, const core::Plan& plan,
                                 int bin_id) const;
+  int next_hot_bin(KeyState& st);
+  std::optional<Promotion> kernel_trial(KeyState& st, const core::Plan& plan,
+                                        const binning::BinSet& bins,
+                                        const CsrMatrix<T>& a,
+                                        std::span<const T> x);
   std::optional<Promotion> unit_trial(KeyState& st, const core::Plan& plan,
                                       const binning::BinSet& bins,
                                       const CsrMatrix<T>& a,
@@ -364,9 +318,6 @@ class BanditTuner {
                                          const binning::BinSet& bins,
                                          const CsrMatrix<T>& a,
                                          std::span<const T> x);
-  fmt::FormatKind pick_format_challenger(
-      const FormatArms& fa, const std::vector<fmt::FormatKind>& pool,
-      fmt::FormatKind incumbent);
   std::optional<Promotion> format_trial(KeyState& st, const core::Plan& plan,
                                         const binning::BinSet& bins,
                                         const CsrMatrix<T>& a,
@@ -376,7 +327,6 @@ class BanditTuner {
   /// attributing trial launches.
   [[nodiscard]] const exec::Backend& backend_for(exec::BackendKind kind) const;
 
-  const clsim::Engine& engine_;
   AdaptOptions opts_;
   std::shared_ptr<const exec::Backend> engine_backend_;
   std::shared_ptr<const exec::Backend> native_backend_;

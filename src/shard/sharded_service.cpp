@@ -319,7 +319,7 @@ void ShardedService<T>::worker_loop(int shard) {
       if (auto promo = sh.tuner->observe(fp, rt->plan(), rt->bins(), sub, x);
           promo.has_value()) {
         core::Plan next = std::move(promo->plan);
-        // A rebinned (U) promotion rebuilt the plan from scratch; re-stamp
+        // A U promotion (level 2) rebuilt the plan from scratch; re-stamp
         // the shard provenance either way so it survives every level.
         next.shard_index = shard;
         next.shard_count = set_.count();

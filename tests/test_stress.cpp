@@ -62,12 +62,10 @@ std::vector<float> random_x(std::size_t n, std::uint64_t seed) {
 /// deterministic and trivially thread-safe.
 constexpr index_t kFavoredUnit = 1000;
 
-double rigged_unit_gflops(index_t u) {
-  return u == kFavoredUnit ? 100.0 : 1.0;
-}
-
-double rigged_kernel_gflops(kernels::KernelId k, int) {
-  return k == kernels::KernelId::Sub16 ? 100.0 : 1.0;
+double rigged_gflops(adapt::Level level, int /*bin*/, std::int64_t arm) {
+  if (level == adapt::Level::Unit) return arm == kFavoredUnit ? 100.0 : 1.0;
+  return arm == static_cast<std::int64_t>(kernels::KernelId::Sub16) ? 100.0
+                                                                    : 1.0;
 }
 
 void expect_result_exact(const std::vector<float>& y,
@@ -114,16 +112,13 @@ TEST(StressServe, PromotionsUnderLoadNeverTearResults) {
   aopts.min_samples = 2;
   aopts.hysteresis = 1.05;
   aopts.seed = base;
-  aopts.measure_override = rigged_kernel_gflops;
+  aopts.measure_override = rigged_gflops;
   aopts.explore_units = true;
-  aopts.unit_trial_fraction = 0.5;
-  aopts.unit_min_samples = 2;
-  aopts.unit_hysteresis = 1.05;
-  aopts.unit_cooldown = 0;
+  aopts.explore_fraction = 0.5;
+  aopts.cooldown = 0;
   // Small pool: the favored unit is the predictor unit's direct grid
   // neighbor, so the hill-climbing challenger finds it within a few trials.
   aopts.unit_pool = {10, kFavoredUnit, 100000};
-  aopts.measure_unit_override = rigged_unit_gflops;
 
   auto run_phase = [&](serve::SpmvService<float>& service, int half) {
     std::atomic<bool> stop{false};
@@ -276,14 +271,11 @@ TEST(StressShard, MultiTenantSubmissionDuringPerShardPromotions) {
   aopts.min_samples = 2;
   aopts.hysteresis = 1.05;
   aopts.seed = base;
-  aopts.measure_override = rigged_kernel_gflops;
+  aopts.measure_override = rigged_gflops;
   aopts.explore_units = true;
-  aopts.unit_trial_fraction = 0.5;
-  aopts.unit_min_samples = 2;
-  aopts.unit_hysteresis = 1.05;
-  aopts.unit_cooldown = 0;
+  aopts.explore_fraction = 0.5;
+  aopts.cooldown = 0;
   aopts.unit_pool = {10, kFavoredUnit, 100000};
-  aopts.measure_unit_override = rigged_unit_gflops;
 
   auto run_phase = [&](shard::ShardedService<float>& service, int half) {
     std::vector<std::thread> clients;
@@ -291,7 +283,8 @@ TEST(StressShard, MultiTenantSubmissionDuringPerShardPromotions) {
     const int hi = lo + kRequestsPerClient / 2;
     for (int c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
-        const std::string tenant = "t" + std::to_string(c % 3);
+        std::string tenant = "t";
+        tenant += std::to_string(c % 3);
         for (int r = lo; r < hi; ++r) {
           std::vector<float> y;
           try {

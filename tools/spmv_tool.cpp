@@ -33,7 +33,8 @@
 //            per-tenant table including queue-full rejections
 //   adapt-bench  (same inputs) [--requests R] [--trial-fraction F]
 //            [--workers W] [--store store.json] [--profile out.json]
-//            [--explore-u] [--unit-fraction F]
+//            [--explore-u] [--explore-backend] [--explore-format]
+//            [--explore-fraction F]
 //            start from a deliberately mispredicted plan and let the
 //            online BanditTuner refine it in-flight: prints windowed
 //            request throughput, promotion/trial counters, the refined
@@ -41,7 +42,10 @@
 //            demo (warm hits > 0, planning passes == 0). --explore-u
 //            additionally lets the tuner shadow-measure neighboring
 //            binning granularities and promote whole re-binned plans
-//            (U trials/promotions are printed separately)
+//            (U trials/promotions are printed separately);
+//            --explore-backend and --explore-format add the backend and
+//            per-bin format levels. --explore-fraction is the share of
+//            trials each enabled extra level diverts to itself
 //   plan-store ls|gc  --store store.json [--model-version V]
 //            [--ttl-hours H]
 //            ls: print load/skip accounting and every plan visible under
@@ -124,9 +128,9 @@ int usage() {
                "  adapt-bench flags: --requests R --trial-fraction F\n"
                "               --workers W --store store.json "
                "--profile out.json\n"
-               "               --explore-u --unit-fraction F\n"
-               "               --explore-backend --backend-fraction F\n"
-               "               --explore-format --format-fraction F\n"
+               "               --explore-u --explore-backend "
+               "--explore-format\n"
+               "               --explore-fraction F\n"
                "  plan-store:  ls|gc --store store.json [--model-version V]\n"
                "               [--ttl-hours H]\n"
                "  compare-profiles: baseline.json current.json "
@@ -862,27 +866,11 @@ int cmd_adapt_bench(const util::Cli& cli) {
   aopts.min_samples = 2;
   aopts.hysteresis = 1.05;
   aopts.hot_bins = 4;
-  if (cli.get_bool("explore-u", false)) {
-    aopts.explore_units = true;
-    aopts.unit_trial_fraction = cli.get_double("unit-fraction", 0.5);
-    aopts.unit_min_samples = 2;
-    aopts.unit_hysteresis = 1.05;
-    aopts.unit_cooldown = 4;
-  }
-  if (cli.get_bool("explore-backend", false)) {
-    aopts.explore_backends = true;
-    aopts.backend_trial_fraction = cli.get_double("backend-fraction", 0.5);
-    aopts.backend_min_samples = 2;
-    aopts.backend_hysteresis = 1.05;
-    aopts.backend_cooldown = 4;
-  }
-  if (cli.get_bool("explore-format", false)) {
-    aopts.explore_formats = true;
-    aopts.format_trial_fraction = cli.get_double("format-fraction", 0.5);
-    aopts.format_min_samples = 2;
-    aopts.format_hysteresis = 1.05;
-    aopts.format_cooldown = 4;
-  }
+  aopts.cooldown = 4;
+  aopts.explore_fraction = cli.get_double("explore-fraction", 0.5);
+  aopts.explore_units = cli.get_bool("explore-u", false);
+  aopts.explore_backends = cli.get_bool("explore-backend", false);
+  aopts.explore_formats = cli.get_bool("explore-format", false);
   opts.adapt = aopts;
   adapt::PlanStore store(store_path);
   opts.plan_store = &store;
@@ -1040,8 +1028,10 @@ int cmd_plan_store(const util::Cli& cli) {
     // Solver-loop provenance: the serving block width an IterativeSession
     // stamped when it promoted/flushed this plan (spmv::iter).
     std::string spmm_col = "-";
-    if (sp.plan.spmm_width > 0)
-      spmm_col = "w" + std::to_string(sp.plan.spmm_width);
+    if (sp.plan.spmm_width > 0) {
+      spmm_col = "w";
+      spmm_col += std::to_string(sp.plan.spmm_width);
+    }
     std::printf("  %8lld x %-8lld %10lld nnz  hash 0x%016llx  rev %-3llu "
                 "tuned-U %-12s shard %-22s spmm %-4s %6.2f GF  %4llu "
                 "trials  %s\n",
