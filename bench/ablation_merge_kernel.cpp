@@ -1,7 +1,9 @@
 // Ablation (paper §V future work): the merge-based SpMV kernel (Merrill &
 // Garland) as an additional candidate, compared against the tuned pool
 // plan, CSR-Adaptive, and the plain OpenMP CPU kernel on the
-// representative set.
+// representative set. The CSR-Adaptive baseline exists only on clsim, so
+// the tuned side runs there too: any other --backend exits 2 (the merge
+// kernel and the OpenMP loop are host-native either way).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -11,6 +13,8 @@ using namespace spmv::bench;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  const auto backend =
+      clsim_only_backend(cli, "ablation_merge_kernel", "CSR-Adaptive");
   const double extra_scale = cli.get_double("scale", 1.0);
   const auto pools = bench_pools(false);
 
@@ -28,10 +32,10 @@ int main(int argc, char** argv) {
     const auto x = random_x(static_cast<std::size_t>(a.cols()));
     std::vector<float> y(static_cast<std::size_t>(a.rows()));
 
-    const auto plan = oracle_plan(a, x, pools);
+    const auto plan = oracle_plan(a, x, pools, *backend);
     const auto bins = core::bins_for_plan(a, plan);
     const double t_auto = time_spmv([&] {
-      core::execute_plan(clsim::default_engine(), a, std::span<const float>(x),
+      core::execute_plan(*backend, a, std::span<const float>(x),
                          std::span<float>(y), bins, plan);
     });
     const double t_merge = time_spmv([&] {

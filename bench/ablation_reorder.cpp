@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const auto rows = static_cast<index_t>(cli.get_int("rows", 300000));
   const auto pools = bench_pools(false);
+  const auto backend = exec::shared_backend(backend_from_cli(cli));
 
   struct Input {
     const char* name;
@@ -30,7 +31,8 @@ int main(int argc, char** argv) {
                                 /*run=*/100, 53)},
   };
 
-  std::printf("=== bench ablation_reorder (rows=%d) ===\n\n", rows);
+  std::printf("=== bench ablation_reorder (rows=%d, backend=%s) ===\n\n",
+              rows, exec::backend_cname(backend->kind()));
   std::printf("%-28s %14s %14s %12s %16s\n", "input", "original[ms]",
               "sorted[ms]", "speedup", "occupied bins");
   rule(90);
@@ -39,10 +41,10 @@ int main(int argc, char** argv) {
     const auto x = random_x(static_cast<std::size_t>(in.a.cols()));
     std::vector<float> y(static_cast<std::size_t>(in.a.rows()));
 
-    const auto plan_orig = oracle_plan(in.a, x, pools);
+    const auto plan_orig = oracle_plan(in.a, x, pools, *backend);
     const auto bins_orig = core::bins_for_plan(in.a, plan_orig);
     const double t_orig = time_spmv([&] {
-      core::execute_plan(clsim::default_engine(), in.a,
+      core::execute_plan(*backend, in.a,
                          std::span<const float>(x), std::span<float>(y),
                          bins_orig, plan_orig);
     });
@@ -50,11 +52,11 @@ int main(int argc, char** argv) {
     const auto perm = sort_rows_by_length(in.a);
     const auto sorted = permute_rows(in.a, perm);
     std::vector<float> y_perm(static_cast<std::size_t>(sorted.rows()));
-    const auto plan_sorted = oracle_plan(sorted, x, pools);
+    const auto plan_sorted = oracle_plan(sorted, x, pools, *backend);
     const auto bins_sorted = core::bins_for_plan(sorted, plan_sorted);
     // Sorted pipeline includes the per-SpMV scatter back to original order.
     const double t_sorted = time_spmv([&] {
-      core::execute_plan(clsim::default_engine(), sorted,
+      core::execute_plan(*backend, sorted,
                          std::span<const float>(x), std::span<float>(y_perm),
                          bins_sorted, plan_sorted);
       unpermute(std::span<const float>(y_perm), perm, std::span<float>(y));

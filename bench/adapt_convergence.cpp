@@ -511,9 +511,9 @@ int main(int argc, char** argv) {
   // Oracle: exhaustive tuning, the throughput ceiling being recovered.
   core::ExhaustiveOptions topts;
   topts.measure = {.warmup = 1, .reps = 3, .max_total_s = 0.5};
-  const auto tuned = core::exhaustive_tune(clsim::default_engine(), *a,
-                                           std::span<const float>(x),
-                                           core::default_pools(), topts);
+  const auto tuned = core::exhaustive_tune(
+      *exec::shared_backend(exec::BackendKind::Clsim), *a,
+      std::span<const float>(x), core::default_pools(), topts);
   const double oracle_gf = plan_gflops(*a, tuned.best_plan, x);
 
   // Default mode mispredicts at the oracle's own granularity (recovery

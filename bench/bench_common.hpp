@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -70,6 +71,23 @@ inline exec::BackendKind backend_from_cli(const util::Cli& cli) {
   return exec::backend_from_name(cli.get("backend", "clsim"));
 }
 
+/// For benches whose baseline only exists on clsim: the shared clsim
+/// backend, or exit(2) naming that baseline when --backend asks for any
+/// other backend (timing clsim under another backend's name would be a
+/// silently wrong table).
+inline std::shared_ptr<const exec::Backend> clsim_only_backend(
+    const util::Cli& cli, const char* bench, const char* baseline) {
+  const exec::BackendKind kind = backend_from_cli(cli);
+  if (kind != exec::BackendKind::Clsim) {
+    std::fprintf(stderr,
+                 "%s: --backend %s is not supported (baseline %s exists "
+                 "only on the clsim backend)\n",
+                 bench, exec::backend_cname(kind), baseline);
+    std::exit(2);
+  }
+  return exec::shared_backend(kind);
+}
+
 /// The uniform `--format csr|auto` flag (per-bin physical layouts via the
 /// spmv::fmt estimator). Unknown names throw std::invalid_argument.
 inline fmt::FormatMode format_from_cli(const util::Cli& cli) {
@@ -113,18 +131,9 @@ inline core::CandidatePools bench_pools(bool full = false) {
 }
 
 /// Exhaustively tuned "kernel-auto" plan (the oracle the paper's trained
-/// model approximates; see EXPERIMENTS.md on the auto strategy used).
-inline core::Plan oracle_plan(const CsrMatrix<float>& a,
-                              std::span<const float> x,
-                              const core::CandidatePools& pools) {
-  core::ExhaustiveOptions opts;
-  opts.measure = {.warmup = 1, .reps = 5, .max_total_s = 0.5};
-  return core::exhaustive_tune(clsim::default_engine(), a, x, pools, opts)
-      .best_plan;
-}
-
-/// Backend-aware oracle: tune and stamp the plan on `backend` (see
-/// exec/backend.hpp — the plan records the backend it was tuned for).
+/// model approximates; see EXPERIMENTS.md on the auto strategy used),
+/// tuned on and stamped with `backend` (the plan records the backend it
+/// was tuned for — see exec/backend.hpp).
 inline core::Plan oracle_plan(const CsrMatrix<float>& a,
                               std::span<const float> x,
                               const core::CandidatePools& pools,

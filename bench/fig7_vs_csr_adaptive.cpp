@@ -4,6 +4,8 @@
 // The paper reports kernel-auto winning on 10 of 16 matrices, by up to
 // 1.9x, with CSR-Adaptive ahead on crankseg_2, D6-6, dictionary28,
 // europe_osm, Ga3As3H12, and roadNet-CA (discussed in §IV-C and Figure 9).
+// CSR-Adaptive exists only on clsim, so both sides run there: any other
+// --backend exits 2 rather than time clsim under the wrong name.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -13,6 +15,8 @@ using namespace spmv::bench;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  const auto backend =
+      clsim_only_backend(cli, "fig7_vs_csr_adaptive", "CSR-Adaptive");
   const double extra_scale = cli.get_double("scale", 1.0);
   const auto pools = bench_pools(cli.get_bool("full-pool", false));
 
@@ -35,10 +39,10 @@ int main(int argc, char** argv) {
     const auto x = random_x(static_cast<std::size_t>(a.cols()));
     std::vector<float> y(static_cast<std::size_t>(a.rows()));
 
-    const auto plan = oracle_plan(a, x, pools);
+    const auto plan = oracle_plan(a, x, pools, *backend);
     const auto bins = core::bins_for_plan(a, plan);
     const double t_auto = time_strategy(prof_ptr, info.name + "/auto", [&] {
-      core::execute_plan(clsim::default_engine(), a, std::span<const float>(x),
+      core::execute_plan(*backend, a, std::span<const float>(x),
                          std::span<float>(y), bins, plan);
     });
 

@@ -67,16 +67,18 @@ int main(int argc, char** argv) {
   hopts.count = holdout;
   hopts.seed = copts.seed + 999;  // unseen matrices
   core::ModelPredictor pred(model);
+  // The model was trained on clsim labels, so the oracle is tuned there.
+  const auto oracle_backend = exec::shared_backend(exec::BackendKind::Clsim);
   std::vector<double> efficiency;
   for (const auto& spec : gen::sample_corpus(hopts)) {
     const auto a = gen::make_corpus_matrix<float>(spec);
     const auto x = random_x(static_cast<std::size_t>(a.cols()));
     std::vector<float> y(static_cast<std::size_t>(a.rows()));
 
-    const auto oracle = oracle_plan(a, x, topts.pools);
+    const auto oracle = oracle_plan(a, x, topts.pools, *oracle_backend);
     const auto oracle_bins = core::bins_for_plan(a, oracle);
     const double t_oracle = time_spmv([&] {
-      core::execute_plan(clsim::default_engine(), a, std::span<const float>(x),
+      core::execute_plan(*oracle_backend, a, std::span<const float>(x),
                          std::span<float>(y), oracle_bins, oracle);
     });
 

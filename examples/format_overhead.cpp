@@ -2,16 +2,21 @@
 // argument for staying in CSR: "the transformation between different
 // formats is non-negligible in terms of performance".
 //
-// Converts CSR to ELLPACK, then reports (a) the conversion cost expressed
-// in equivalent auto-tuned CSR SpMV passes — the number of products an
-// application must run before the switch can possibly pay off — and
-// (b) the ELL padding/memory expansion, which becomes prohibitive on
-// skewed matrices (where conversion is refused outright).
+// Converts CSR to ELLPACK — the spmv::fmt ELL layout of one bin holding
+// every row at unit 1, executed on the native backend — then reports
+// (a) the conversion cost expressed in equivalent auto-tuned CSR SpMV
+// passes — the number of products an application must run before the
+// switch can possibly pay off — and (b) the ELL padding/memory expansion,
+// which becomes prohibitive on skewed matrices (where conversion is
+// refused outright).
 //
 // Usage: format_overhead [--rows N]
 #include <cstdio>
+#include <numeric>
 
 #include "autospmv.hpp"
+#include "fmt/estimate.hpp"
+#include "fmt/layout.hpp"
 
 using namespace spmv;
 
@@ -30,6 +35,7 @@ int main(int argc, char** argv) {
       {"power-law graph", gen::power_law<float>(rows, rows, 2.0, 2000, 4)},
   };
 
+  const exec::NativeBackend native;
   std::printf("%-18s %10s %12s %14s %16s %14s\n", "matrix", "padding",
               "conv[ms]", "csr-auto[ms]", "ell-spmv[ms]", "break-even");
   for (auto& in : inputs) {
@@ -38,28 +44,45 @@ int main(int argc, char** argv) {
     std::vector<float> y(static_cast<std::size_t>(in.a.rows()));
 
     core::HeuristicPredictor pred;
-    const auto auto_spmv = core::Tuner(in.a).predictor(pred).build();
+    // Both sides on the native backend, so the comparison is format vs
+    // format, not simulator vs host loop.
+    const auto auto_spmv = core::Tuner(in.a)
+                               .predictor(pred)
+                               .backend(exec::BackendKind::Native)
+                               .build();
     const double t_csr =
         util::measure([&] { auto_spmv.run(x, std::span<float>(y)); },
                       {.warmup = 1, .reps = 5, .max_total_s = 2.0})
             .best_s;
 
-    const double ratio = ell_padding_ratio(in.a);
-    if (ratio > 16.0) {
+    // The whole matrix as one bin of granularity 1: virtual row i == row i.
+    std::vector<index_t> all_rows(static_cast<std::size_t>(in.a.rows()));
+    std::iota(all_rows.begin(), all_rows.end(), index_t{0});
+    const std::span<const index_t> vrows(all_rows);
+    const double ratio =
+        fmt::compute_bin_features(in.a, vrows, index_t{1}).padding_ratio;
+    if (ratio > fmt::BuildLimits{}.ell_max_expansion) {
       std::printf("%-18s %9.1fx %12s %14.3f %16s %14s\n", in.name, ratio,
                   "refused", 1e3 * t_csr, "-",
                   "never (padding)");
       continue;
     }
 
-    EllMatrix<float> ell;
+    fmt::BinLayout<float> ell;
     const double t_conv =
-        util::measure([&] { ell = csr_to_ell(in.a); },
-                      {.warmup = 1, .reps = 3, .max_total_s = 3.0})
+        util::measure(
+            [&] {
+              ell = fmt::build_bin_layout(in.a, vrows, index_t{1},
+                                          fmt::FormatKind::Ell, 0);
+            },
+            {.warmup = 1, .reps = 3, .max_total_s = 3.0})
             .best_s;
     const double t_ell =
         util::measure(
-            [&] { spmv_ell(ell, std::span<const float>(x), std::span<float>(y)); },
+            [&] {
+              native.run_layout(in.a, ell, std::span<const float>(x),
+                                std::span<float>(y));
+            },
             {.warmup = 1, .reps = 5, .max_total_s = 2.0})
             .best_s;
 

@@ -141,11 +141,8 @@ std::string arm_label(fmt::FormatKind k) { return fmt::format_cname(k); }
 }  // namespace
 
 template <typename T>
-BanditTuner<T>::BanditTuner(const clsim::Engine& engine, AdaptOptions opts)
-    : opts_(std::move(opts)),
-      engine_backend_(exec::wrap_engine(engine)),
-      native_backend_(exec::shared_backend(exec::BackendKind::Native)),
-      rng_(opts_.seed) {
+BanditTuner<T>::BanditTuner(AdaptOptions opts)
+    : opts_(std::move(opts)), rng_(opts_.seed) {
   if (opts_.kernel_pool.empty()) opts_.kernel_pool = kernels::all_kernels();
   opts_.hot_bins = std::max(1, opts_.hot_bins);
   opts_.min_samples = std::max(1, opts_.min_samples);
@@ -156,13 +153,6 @@ BanditTuner<T>::BanditTuner(const clsim::Engine& engine, AdaptOptions opts)
   opts_.unit_pool.erase(
       std::unique(opts_.unit_pool.begin(), opts_.unit_pool.end()),
       opts_.unit_pool.end());
-}
-
-template <typename T>
-const exec::Backend& BanditTuner<T>::backend_for(
-    exec::BackendKind kind) const {
-  return kind == exec::BackendKind::Native ? *native_backend_
-                                           : *engine_backend_;
 }
 
 template <typename T>
@@ -352,8 +342,8 @@ BanditTuner<T>::kernel_trial(KeyState& st, const core::Plan& plan,
   const auto vrows = std::span<const index_t>(bins.bin(bin));
   const double flops = flops_of(bin_nnz(a, vrows, bins.unit()));
   // Both launches on the plan's own backend: kernel arms compare thread
-  // shapes under the engine the plan actually runs on.
-  const exec::Backend& backend = backend_for(plan.backend);
+  // shapes under the backend the plan actually runs on.
+  const exec::Backend& backend = *exec::shared_backend(plan.backend);
   std::vector<T> y;
   return run_trial(
       st, t, Trial<kernels::KernelId>{Level::Kernel, bin, incumbent, challenger,
@@ -405,7 +395,7 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::unit_trial(
 
   // Both granularities timed on the plan's own backend — U arms compare
   // binning structure, not execution engines.
-  const exec::Backend& backend = backend_for(plan.backend);
+  const exec::Backend& backend = *exec::shared_backend(plan.backend);
   return run_trial(
       st, st.units,
       Trial<index_t>{Level::Unit, -1, incumbent, challenger,
@@ -453,7 +443,8 @@ BanditTuner<T>::backend_trial(KeyState& st, const core::Plan& plan,
                                flops_of(a.nnz())},
       plan,
       [&](exec::BackendKind k) {
-        return whole_plan_gflops(backend_for(k), a, x, bins, plan.bin_kernels);
+        return whole_plan_gflops(*exec::shared_backend(k), a, x, bins,
+                                 plan.bin_kernels);
       },
       [&] {
         // Bins and kernels untouched; ensure_state resets the other arm
@@ -485,7 +476,7 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::format_trial(
 
   const double flops = flops_of(bin_nnz(a, vrows, bins.unit()));
   // Both formats run the bin's planned kernel into the same scratch output.
-  const exec::Backend& backend = backend_for(plan.backend);
+  const exec::Backend& backend = *exec::shared_backend(plan.backend);
   const kernels::KernelId kernel = plan.kernel_for(bin);
   std::vector<T> y;
   return run_trial(
@@ -595,7 +586,8 @@ std::optional<typename BanditTuner<T>::Promotion> BanditTuner<T>::observe(
        &BanditTuner::unit_trial},
       {Level::Backend, opts_.explore_backends, &BanditTuner::backend_trial},
       {Level::Format,
-       opts_.explore_formats && backend_for(plan.backend).supports_formats(),
+       opts_.explore_formats &&
+           exec::shared_backend(plan.backend)->supports_formats(),
        &BanditTuner::format_trial},
   };
   for (const Diversion& d : diversions) {

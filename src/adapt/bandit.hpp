@@ -72,7 +72,6 @@
 #include <vector>
 
 #include "binning/binning.hpp"
-#include "clsim/engine.hpp"
 #include "core/plan.hpp"
 #include "exec/backend.hpp"
 #include "fmt/format.hpp"
@@ -161,7 +160,7 @@ class BanditTuner {
     std::uint8_t level = 1;
   };
 
-  BanditTuner(const clsim::Engine& engine, AdaptOptions opts);
+  explicit BanditTuner(AdaptOptions opts);
 
   /// Consider one served request for a shadow trial. `plan`/`bins` are the
   /// cached entry's, `a`/`x` the request's own matrix and input vector
@@ -322,14 +321,7 @@ class BanditTuner {
                                         const binning::BinSet& bins,
                                         const CsrMatrix<T>& a,
                                         std::span<const T> x);
-  /// The backend trials and incumbent measurements run on. Clsim resolves
-  /// to the engine the tuner was built with, so engine counters keep
-  /// attributing trial launches.
-  [[nodiscard]] const exec::Backend& backend_for(exec::BackendKind kind) const;
-
   AdaptOptions opts_;
-  std::shared_ptr<const exec::Backend> engine_backend_;
-  std::shared_ptr<const exec::Backend> native_backend_;
 
   mutable std::mutex mutex_;
   util::Xoshiro256 rng_;

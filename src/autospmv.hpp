@@ -79,7 +79,6 @@
 #include "sparse/convert.hpp"           // COO<->CSR, transpose
 #include "sparse/coo.hpp"               // COO container
 #include "sparse/csr.hpp"               // CSR container
-#include "sparse/ell.hpp"               // ELLPACK (format-overhead study)
 #include "sparse/matrix_stats.hpp"      // row-length statistics
 #include "sparse/mm_io.hpp"             // Matrix Market I/O
 #include "sparse/reorder.hpp"           // row permutation utilities

@@ -17,7 +17,6 @@
 #include <span>
 
 #include "binning/binning.hpp"
-#include "clsim/engine.hpp"
 #include "core/exhaustive.hpp"
 #include "exec/backend.hpp"
 #include "core/plan.hpp"

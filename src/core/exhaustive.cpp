@@ -5,9 +5,9 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
-#include "exec/clsim_backend.hpp"
+#include "clsim/engine.hpp"
 #include "fmt/plan_layouts.hpp"
 #include "prof/counters.hpp"
 
@@ -17,53 +17,6 @@ template <typename T>
 binning::BinSet bins_for_plan(const CsrMatrix<T>& a, const Plan& plan) {
   return plan.single_bin ? binning::single_bin(a, plan.unit)
                          : binning::bin_matrix(a, plan.unit);
-}
-
-namespace {
-
-/// Resolve one bin's materialized layout, or null for the CSR path. Only
-/// consulted when the plan asks for a non-CSR format AND the backend can
-/// execute layouts — otherwise the bin silently runs from the shared CSR
-/// arrays (the ClsimBackend comparability guarantee).
-template <typename T>
-std::shared_ptr<const fmt::BinLayout<T>> resolve_layout(
-    const exec::Backend& backend, fmt::PlanLayouts<T>* layouts,
-    const CsrMatrix<T>& a, std::span<const index_t> vrows, index_t unit,
-    const BinPlan& bp) {
-  if (layouts == nullptr || bp.format == fmt::FormatKind::Csr ||
-      !backend.supports_formats())
-    return nullptr;
-  return layouts->acquire(a, vrows, unit, bp.format, bp.bin_id);
-}
-
-/// Bump the layout cache's reuse counter once per whole-plan execution —
-/// the amortization signal.
-template <typename T>
-void note_layout_run(fmt::PlanLayouts<T>* layouts, const CsrMatrix<T>& a,
-                     const Plan& plan) {
-  if (layouts != nullptr && plan.uses_formats()) (void)layouts->note_run(a);
-}
-
-}  // namespace
-
-template <typename T>
-void execute_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan,
-                  fmt::PlanLayouts<T>* layouts) {
-  if (bins.unit() != plan.unit)
-    throw std::invalid_argument("execute_plan: bins/plan unit mismatch");
-  note_layout_run(layouts, a, plan);
-  for (const BinPlan& bp : plan.bin_kernels) {
-    const auto& vrows = bins.bin(bp.bin_id);
-    if (vrows.empty()) continue;
-    if (const auto l = resolve_layout(backend, layouts, a, vrows, bins.unit(),
-                                      bp)) {
-      backend.run_layout(a, *l, x, y);
-      continue;
-    }
-    backend.run_binned(bp.kernel, a, x, y, vrows, bins.unit());
-  }
 }
 
 namespace {
@@ -82,8 +35,75 @@ std::int64_t bin_nnz(const CsrMatrix<T>& a, std::span<const index_t> vrows,
   return total;
 }
 
-using EngineSnapshot =
-    decltype(std::declval<const clsim::Engine&>().counters().snapshot());
+/// The one bin loop behind every execute_plan* entry: per occupied bin,
+/// either the bin's materialized layout (run_layout_batch at `width`) or
+/// the entry's CSR launch `run_csr(kernel, vrows, unit)`. A layout is only
+/// consulted when the plan asks for a non-CSR format AND the backend can
+/// execute layouts — otherwise the bin runs from the shared CSR arrays
+/// (the ClsimBackend comparability guarantee). The layout cache's reuse
+/// counter is bumped once per whole-plan execution (the amortization
+/// signal). All profile recording lives here.
+template <typename T, typename CsrLaunch>
+void run_plan(const char* entry, const exec::Backend& backend,
+              const CsrMatrix<T>& a, std::span<const T> x, std::span<T> y,
+              int width, const binning::BinSet& bins, const Plan& plan,
+              prof::RunProfile* profile, fmt::PlanLayouts<T>* layouts,
+              const CsrLaunch& run_csr) {
+  if (bins.unit() != plan.unit)
+    throw std::invalid_argument(std::string(entry) +
+                                ": bins/plan unit mismatch");
+  if (layouts != nullptr && plan.uses_formats()) (void)layouts->note_run(a);
+  const bool use_layouts = layouts != nullptr && backend.supports_formats();
+
+  // Engine counters only exist for backends that drive a clsim engine.
+  const clsim::Engine* engine =
+      profile != nullptr ? backend.engine() : nullptr;
+  std::optional<prof::EngineCountersSnapshot> engine_before;
+  if (engine != nullptr) engine_before = engine->counters().snapshot();
+  const std::uint64_t fallback_before =
+      profile != nullptr ? prof::spmm_fallback_columns() : 0;
+  util::Timer total;
+
+  for (const BinPlan& bp : plan.bin_kernels) {
+    const auto& vrows = bins.bin(bp.bin_id);
+    if (vrows.empty()) continue;
+    // Runs the bin; true when it went through a materialized layout. A
+    // profiled bin's time includes resolving (possibly building) it.
+    const auto launch = [&] {
+      if (use_layouts && bp.format != fmt::FormatKind::Csr) {
+        if (const auto l = layouts->acquire(a, vrows, bins.unit(), bp.format,
+                                            bp.bin_id)) {
+          backend.run_layout_batch(a, *l, x, y, width);
+          return true;
+        }
+      }
+      run_csr(bp.kernel, std::span<const index_t>(vrows), bins.unit());
+      return false;
+    };
+    if (profile == nullptr) {
+      launch();
+      continue;
+    }
+    util::Timer t;
+    const bool via_layout = launch();
+    std::string label = kernels::kernel_name(bp.kernel);
+    if (via_layout) label += std::string("+") + fmt::format_cname(bp.format);
+    profile->add_bin_run(bp.bin_id, label,
+                         static_cast<std::int64_t>(vrows.size()),
+                         bins.rows_in_bin(bp.bin_id),
+                         bin_nnz(a, std::span<const index_t>(vrows),
+                                 bins.unit()),
+                         t.elapsed_s());
+  }
+  if (profile == nullptr) return;
+  profile->runs += 1;
+  profile->run_total_s += total.elapsed_s();
+  profile->spmm_fallback_columns +=
+      prof::spmm_fallback_columns() - fallback_before;
+  if (engine != nullptr)
+    profile->merge_engine_delta(
+        engine->counters().snapshot().delta_since(*engine_before));
+}
 
 }  // namespace
 
@@ -92,42 +112,9 @@ void execute_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
                   std::span<const T> x, std::span<T> y,
                   const binning::BinSet& bins, const Plan& plan,
                   prof::RunProfile* profile, fmt::PlanLayouts<T>* layouts) {
-  if (profile == nullptr) {
-    execute_plan(backend, a, x, y, bins, plan, layouts);
-    return;
-  }
-  if (bins.unit() != plan.unit)
-    throw std::invalid_argument("execute_plan: bins/plan unit mismatch");
-  note_layout_run(layouts, a, plan);
-  // Engine counters only exist for backends that drive a clsim engine.
-  const clsim::Engine* engine = backend.engine();
-  std::optional<EngineSnapshot> before;
-  if (engine != nullptr) before = engine->counters().snapshot();
-  util::Timer total;
-  for (const BinPlan& bp : plan.bin_kernels) {
-    const auto& vrows = bins.bin(bp.bin_id);
-    if (vrows.empty()) continue;
-    util::Timer t;
-    std::string label = kernels::kernel_name(bp.kernel);
-    if (const auto l = resolve_layout(backend, layouts, a, vrows, bins.unit(),
-                                      bp)) {
-      backend.run_layout(a, *l, x, y);
-      label += std::string("+") + fmt::format_cname(bp.format);
-    } else {
-      backend.run_binned(bp.kernel, a, x, y, vrows, bins.unit());
-    }
-    profile->add_bin_run(bp.bin_id, label,
-                         static_cast<std::int64_t>(vrows.size()),
-                         bins.rows_in_bin(bp.bin_id),
-                         bin_nnz(a, std::span<const index_t>(vrows),
-                                 bins.unit()),
-                         t.elapsed_s());
-  }
-  profile->runs += 1;
-  profile->run_total_s += total.elapsed_s();
-  if (engine != nullptr)
-    profile->merge_engine_delta(
-        engine->counters().snapshot().delta_since(*before));
+  run_plan("execute_plan", backend, a, x, y, 1, bins, plan, profile, layouts,
+           [&](kernels::KernelId id, std::span<const index_t> vrows,
+               index_t unit) { backend.run_binned(id, a, x, y, vrows, unit); });
 }
 
 template <typename T>
@@ -136,53 +123,12 @@ void execute_plan_batch(const exec::Backend& backend, const CsrMatrix<T>& a,
                         const binning::BinSet& bins, const Plan& plan,
                         prof::RunProfile* profile,
                         fmt::PlanLayouts<T>* layouts) {
-  if (bins.unit() != plan.unit)
-    throw std::invalid_argument("execute_plan_batch: bins/plan unit mismatch");
-  note_layout_run(layouts, a, plan);
-  if (profile == nullptr) {
-    for (const BinPlan& bp : plan.bin_kernels) {
-      const auto& vrows = bins.bin(bp.bin_id);
-      if (vrows.empty()) continue;
-      if (const auto l = resolve_layout(backend, layouts, a, vrows,
-                                        bins.unit(), bp)) {
-        backend.run_layout_batch(a, *l, x, y, batch);
-        continue;
-      }
-      backend.run_binned_batch(bp.kernel, a, x, y, batch, vrows, bins.unit());
-    }
-    return;
-  }
-  const clsim::Engine* engine = backend.engine();
-  std::optional<EngineSnapshot> before;
-  if (engine != nullptr) before = engine->counters().snapshot();
-  const std::uint64_t fallback_before = prof::spmm_fallback_columns();
-  util::Timer total;
-  for (const BinPlan& bp : plan.bin_kernels) {
-    const auto& vrows = bins.bin(bp.bin_id);
-    if (vrows.empty()) continue;
-    util::Timer t;
-    std::string label = kernels::kernel_name(bp.kernel);
-    if (const auto l = resolve_layout(backend, layouts, a, vrows, bins.unit(),
-                                      bp)) {
-      backend.run_layout_batch(a, *l, x, y, batch);
-      label += std::string("+") + fmt::format_cname(bp.format);
-    } else {
-      backend.run_binned_batch(bp.kernel, a, x, y, batch, vrows, bins.unit());
-    }
-    profile->add_bin_run(bp.bin_id, label,
-                         static_cast<std::int64_t>(vrows.size()),
-                         bins.rows_in_bin(bp.bin_id),
-                         bin_nnz(a, std::span<const index_t>(vrows),
-                                 bins.unit()),
-                         t.elapsed_s());
-  }
-  profile->runs += 1;
-  profile->run_total_s += total.elapsed_s();
-  profile->spmm_fallback_columns +=
-      prof::spmm_fallback_columns() - fallback_before;
-  if (engine != nullptr)
-    profile->merge_engine_delta(
-        engine->counters().snapshot().delta_since(*before));
+  run_plan("execute_plan_batch", backend, a, x, y, batch, bins, plan, profile,
+           layouts,
+           [&](kernels::KernelId id, std::span<const index_t> vrows,
+               index_t unit) {
+             backend.run_binned_batch(id, a, x, y, batch, vrows, unit);
+           });
 }
 
 template <typename T>
@@ -191,53 +137,12 @@ void execute_plan_spmm(const exec::Backend& backend, const CsrMatrix<T>& a,
                        const binning::BinSet& bins, const Plan& plan,
                        prof::RunProfile* profile,
                        fmt::PlanLayouts<T>* layouts) {
-  if (bins.unit() != plan.unit)
-    throw std::invalid_argument("execute_plan_spmm: bins/plan unit mismatch");
-  note_layout_run(layouts, a, plan);
-  if (profile == nullptr) {
-    for (const BinPlan& bp : plan.bin_kernels) {
-      const auto& vrows = bins.bin(bp.bin_id);
-      if (vrows.empty()) continue;
-      if (const auto l = resolve_layout(backend, layouts, a, vrows,
-                                        bins.unit(), bp)) {
-        backend.run_layout_batch(a, *l, x, y, width);
-        continue;
-      }
-      backend.run_spmm(bp.kernel, a, x, y, width, vrows, bins.unit());
-    }
-    return;
-  }
-  const clsim::Engine* engine = backend.engine();
-  std::optional<EngineSnapshot> before;
-  if (engine != nullptr) before = engine->counters().snapshot();
-  const std::uint64_t fallback_before = prof::spmm_fallback_columns();
-  util::Timer total;
-  for (const BinPlan& bp : plan.bin_kernels) {
-    const auto& vrows = bins.bin(bp.bin_id);
-    if (vrows.empty()) continue;
-    util::Timer t;
-    std::string label = kernels::kernel_name(bp.kernel);
-    if (const auto l = resolve_layout(backend, layouts, a, vrows, bins.unit(),
-                                      bp)) {
-      backend.run_layout_batch(a, *l, x, y, width);
-      label += std::string("+") + fmt::format_cname(bp.format);
-    } else {
-      backend.run_spmm(bp.kernel, a, x, y, width, vrows, bins.unit());
-    }
-    profile->add_bin_run(bp.bin_id, label,
-                         static_cast<std::int64_t>(vrows.size()),
-                         bins.rows_in_bin(bp.bin_id),
-                         bin_nnz(a, std::span<const index_t>(vrows),
-                                 bins.unit()),
-                         t.elapsed_s());
-  }
-  profile->runs += 1;
-  profile->run_total_s += total.elapsed_s();
-  profile->spmm_fallback_columns +=
-      prof::spmm_fallback_columns() - fallback_before;
-  if (engine != nullptr)
-    profile->merge_engine_delta(
-        engine->counters().snapshot().delta_since(*before));
+  run_plan("execute_plan_spmm", backend, a, x, y, width, bins, plan, profile,
+           layouts,
+           [&](kernels::KernelId id, std::span<const index_t> vrows,
+               index_t unit) {
+             backend.run_spmm(id, a, x, y, width, vrows, unit);
+           });
 }
 
 namespace {
@@ -349,45 +254,8 @@ TuneResult exhaustive_tune(const exec::Backend& backend, const CsrMatrix<T>& a,
   return result;
 }
 
-// --- clsim::Engine conveniences ---------------------------------------
-
-template <typename T>
-void execute_plan(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan) {
-  execute_plan(exec::ClsimBackend(engine), a, x, y, bins, plan);
-}
-
-template <typename T>
-void execute_plan(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan,
-                  prof::RunProfile* profile) {
-  execute_plan(exec::ClsimBackend(engine), a, x, y, bins, plan, profile);
-}
-
-template <typename T>
-void execute_plan_batch(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                        std::span<const T> x, std::span<T> y, int batch,
-                        const binning::BinSet& bins, const Plan& plan,
-                        prof::RunProfile* profile) {
-  execute_plan_batch(exec::ClsimBackend(engine), a, x, y, batch, bins, plan,
-                     profile);
-}
-
-template <typename T>
-TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                           std::span<const T> x, const CandidatePools& pools,
-                           const ExhaustiveOptions& opts) {
-  return exhaustive_tune(exec::ClsimBackend(engine), a, x, pools, opts);
-}
-
 #define SPMV_EXHAUSTIVE_INSTANTIATE(T)                                       \
   template binning::BinSet bins_for_plan(const CsrMatrix<T>&, const Plan&);  \
-  template void execute_plan(const exec::Backend&, const CsrMatrix<T>&,      \
-                             std::span<const T>, std::span<T>,               \
-                             const binning::BinSet&, const Plan&,            \
-                             fmt::PlanLayouts<T>*);                          \
   template void execute_plan(const exec::Backend&, const CsrMatrix<T>&,      \
                              std::span<const T>, std::span<T>,               \
                              const binning::BinSet&, const Plan&,            \
@@ -402,22 +270,6 @@ TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
                                   const binning::BinSet&, const Plan&,       \
                                   prof::RunProfile*, fmt::PlanLayouts<T>*);  \
   template TuneResult exhaustive_tune(const exec::Backend&,                  \
-                                      const CsrMatrix<T>&,                   \
-                                      std::span<const T>,                    \
-                                      const CandidatePools&,                 \
-                                      const ExhaustiveOptions&);             \
-  template void execute_plan(const clsim::Engine&, const CsrMatrix<T>&,      \
-                             std::span<const T>, std::span<T>,               \
-                             const binning::BinSet&, const Plan&);           \
-  template void execute_plan(const clsim::Engine&, const CsrMatrix<T>&,      \
-                             std::span<const T>, std::span<T>,               \
-                             const binning::BinSet&, const Plan&,            \
-                             prof::RunProfile*);                             \
-  template void execute_plan_batch(const clsim::Engine&, const CsrMatrix<T>&,\
-                                   std::span<const T>, std::span<T>, int,    \
-                                   const binning::BinSet&, const Plan&,      \
-                                   prof::RunProfile*);                       \
-  template TuneResult exhaustive_tune(const clsim::Engine&,                  \
                                       const CsrMatrix<T>&,                   \
                                       std::span<const T>,                    \
                                       const CandidatePools&,                 \

@@ -5,15 +5,15 @@
 // training stage performs.
 //
 // Execution goes through the exec::Backend seam, so plans can run (and be
-// tuned) on any backend; the clsim::Engine overloads are thin conveniences
-// that wrap the engine in an exec::ClsimBackend.
+// tuned) on any backend. The three execute_plan* entries share one bin
+// loop and differ only in the launch that carries a CSR bin; a custom clsim
+// engine runs through exec::ClsimBackend(engine).
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "binning/binning.hpp"
-#include "clsim/engine.hpp"
 #include "core/candidates.hpp"
 #include "core/plan.hpp"
 #include "exec/backend.hpp"
@@ -39,22 +39,17 @@ binning::BinSet bins_for_plan(const CsrMatrix<T>& a, const Plan& plan);
 /// not yet amortized (acquire() returns null), a null cache, or a backend
 /// without format support all fall back to the CSR launch, so formats are
 /// a pure acceleration, never a requirement.
+///
+/// A non-null `profile` additionally receives one bin sample per occupied
+/// bin (kernel wall time, rows, NNZ; bins executed through a layout are
+/// labelled "<kernel>+<format>"), one run, the prof::spmm_fallback_columns
+/// delta, and the engine-counter delta when the backend drives a clsim
+/// engine (backend.engine() != nullptr). A null profile records nothing.
 template <typename T>
 void execute_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
                   std::span<const T> x, std::span<T> y,
                   const binning::BinSet& bins, const Plan& plan,
-                  fmt::PlanLayouts<T>* layouts = nullptr);
-
-/// Telemetry variant: additionally records per-bin kernel wall time and
-/// bin workload (rows/NNZ) into `profile`, plus the engine-counter delta
-/// when the backend drives a clsim engine (backend.engine() != nullptr).
-/// A null profile behaves exactly like the plain overload. Bins executed
-/// through a layout are labelled "<kernel>+<format>".
-template <typename T>
-void execute_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan,
-                  prof::RunProfile* profile,
+                  prof::RunProfile* profile = nullptr,
                   fmt::PlanLayouts<T>* layouts = nullptr);
 
 /// Batched Y = A·X through `plan`: `batch` input vectors stored
@@ -62,6 +57,7 @@ void execute_plan(const exec::Backend& backend, const CsrMatrix<T>& a,
 /// columns of `y` (each a.rows() long). Per-bin kernels with a batched
 /// variant share one CSR traversal across the batch; the rest loop one
 /// single-vector launch per column (see exec::Backend::run_binned_batch).
+/// `profile` records exactly as for execute_plan (one run per batch).
 template <typename T>
 void execute_plan_batch(const exec::Backend& backend, const CsrMatrix<T>& a,
                         std::span<const T> x, std::span<T> y, int batch,
@@ -77,8 +73,7 @@ void execute_plan_batch(const exec::Backend& backend, const CsrMatrix<T>& a,
 /// variants. Layout bins go through run_layout_batch either way — the
 /// native layout batch kernels are already one-traversal at any width. Per
 /// output column the result is bit-identical to `width` single-vector
-/// execute_plan runs. The profiled variant additionally records the
-/// prof::spmm_fallback_columns delta this execution caused.
+/// execute_plan runs. `profile` records exactly as for execute_plan.
 template <typename T>
 void execute_plan_spmm(const exec::Backend& backend, const CsrMatrix<T>& a,
                        std::span<const T> x, std::span<T> y, int width,
@@ -125,38 +120,9 @@ TuneResult exhaustive_tune(const exec::Backend& backend, const CsrMatrix<T>& a,
                            std::span<const T> x, const CandidatePools& pools,
                            const ExhaustiveOptions& opts = {});
 
-// --- clsim::Engine conveniences ---------------------------------------
-// Equivalent to the Backend overloads with exec::ClsimBackend(engine).
-
-template <typename T>
-void execute_plan(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan);
-
-template <typename T>
-void execute_plan(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                  std::span<const T> x, std::span<T> y,
-                  const binning::BinSet& bins, const Plan& plan,
-                  prof::RunProfile* profile);
-
-template <typename T>
-void execute_plan_batch(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                        std::span<const T> x, std::span<T> y, int batch,
-                        const binning::BinSet& bins, const Plan& plan,
-                        prof::RunProfile* profile = nullptr);
-
-template <typename T>
-TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
-                           std::span<const T> x, const CandidatePools& pools,
-                           const ExhaustiveOptions& opts = {});
-
 #define SPMV_EXHAUSTIVE_EXTERN(T)                                            \
   extern template binning::BinSet bins_for_plan(const CsrMatrix<T>&,         \
                                                 const Plan&);                \
-  extern template void execute_plan(const exec::Backend&,                    \
-                                    const CsrMatrix<T>&, std::span<const T>, \
-                                    std::span<T>, const binning::BinSet&,    \
-                                    const Plan&, fmt::PlanLayouts<T>*);      \
   extern template void execute_plan(const exec::Backend&,                    \
                                     const CsrMatrix<T>&, std::span<const T>, \
                                     std::span<T>, const binning::BinSet&,    \
@@ -176,22 +142,6 @@ TuneResult exhaustive_tune(const clsim::Engine& engine, const CsrMatrix<T>& a,
                                          fmt::PlanLayouts<T>*);              \
   extern template TuneResult exhaustive_tune(                                \
       const exec::Backend&, const CsrMatrix<T>&, std::span<const T>,         \
-      const CandidatePools&, const ExhaustiveOptions&);                      \
-  extern template void execute_plan(const clsim::Engine&,                    \
-                                    const CsrMatrix<T>&, std::span<const T>, \
-                                    std::span<T>, const binning::BinSet&,    \
-                                    const Plan&);                            \
-  extern template void execute_plan(const clsim::Engine&,                    \
-                                    const CsrMatrix<T>&, std::span<const T>, \
-                                    std::span<T>, const binning::BinSet&,    \
-                                    const Plan&, prof::RunProfile*);         \
-  extern template void execute_plan_batch(const clsim::Engine&,              \
-                                          const CsrMatrix<T>&,               \
-                                          std::span<const T>, std::span<T>,  \
-                                          int, const binning::BinSet&,       \
-                                          const Plan&, prof::RunProfile*);   \
-  extern template TuneResult exhaustive_tune(                                \
-      const clsim::Engine&, const CsrMatrix<T>&, std::span<const T>,         \
       const CandidatePools&, const ExhaustiveOptions&);
 SPMV_EXHAUSTIVE_EXTERN(float)
 SPMV_EXHAUSTIVE_EXTERN(double)

@@ -3,6 +3,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "exec/clsim_backend.hpp"
 #include "ml/features.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -21,8 +22,9 @@ MatrixLabels harvest_labels(const clsim::Engine& engine, const CsrMatrix<T>& a,
   util::Xoshiro256 rng(12345);
   for (auto& v : x) v = static_cast<T>(rng.uniform(0.5, 1.5));
 
-  const TuneResult tuned = exhaustive_tune(engine, a, std::span<const T>(x),
-                                           opts.pools, opts.tune);
+  const TuneResult tuned =
+      exhaustive_tune(exec::ClsimBackend(engine), a, std::span<const T>(x),
+                      opts.pools, opts.tune);
 
   if (tuned.best_plan.single_bin) {
     labels.best_unit_class = static_cast<int>(opts.pools.units.size());

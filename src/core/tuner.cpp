@@ -8,8 +8,7 @@ namespace spmv::core {
 
 template <typename T>
 exec::ExecContext Tuner<T>::resolve_context() const {
-  // backend(instance) > backend(kind) > plan().backend > clsim; an
-  // explicit engine() only matters when clsim wins the resolution.
+  // backend(instance) > backend(kind) > plan().backend > clsim.
   if (backend_instance_ != nullptr)
     return exec::ExecContext(std::shared_ptr<const exec::Backend>(
         std::shared_ptr<const exec::Backend>(), backend_instance_));
@@ -17,8 +16,6 @@ exec::ExecContext Tuner<T>::resolve_context() const {
       backend_kind_.has_value() ? *backend_kind_
       : plan_.has_value()      ? plan_->backend
                                : exec::BackendKind::Clsim;
-  if (kind == exec::BackendKind::Clsim && engine_ != nullptr)
-    return exec::ExecContext(exec::wrap_engine(*engine_));
   return exec::ExecContext(exec::shared_backend(kind));
 }
 

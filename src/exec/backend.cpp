@@ -293,12 +293,6 @@ std::shared_ptr<const Backend> shared_backend(BackendKind kind) {
   throw std::invalid_argument("shared_backend: bad kind");
 }
 
-std::shared_ptr<const Backend> wrap_engine(const clsim::Engine& engine) {
-  if (&engine == &clsim::default_engine())
-    return shared_backend(BackendKind::Clsim);
-  return std::make_shared<const ClsimBackend>(engine);
-}
-
 ExecContext::ExecContext(std::shared_ptr<const Backend> backend)
     : backend_(std::move(backend)) {
   if (backend_ == nullptr)

@@ -1,9 +1,12 @@
 // spmv::exec — the execution-backend seam. A Backend owns kernel dispatch
-// (run_binned / run_full / run_binned_batch) for one execution model; the
-// rest of the stack (core::AutoSpmv, serve::SpmvService, adapt::BanditTuner)
-// targets this interface instead of clsim::Engine directly, so a plan can
-// execute on the paper's lockstep simulator (ClsimBackend) or on tight
+// (run_binned / run_full / run_binned_batch) for one execution model.
+// Backend (shared through ExecContext) is the only execution handle above
+// exec/: core::Tuner/AutoSpmv, serve::, shard::, iter:: and
+// adapt::BanditTuner never see a clsim::Engine, so a plan can execute on
+// the paper's lockstep simulator (ClsimBackend) or on tight
 // auto-vectorized CPU loops (NativeBackend) without any caller changing.
+// A caller-owned engine is reached as exec::ClsimBackend(engine), passed
+// to core::Tuner::backend(const Backend&).
 //
 // Backend choice is a *plan* property, not a service property: core::Plan
 // carries a BackendKind that travels through plan_io / the PlanStore, and
@@ -266,11 +269,6 @@ class Backend {
 /// pointer is a no-op-deleter alias of a function-local static, so it is
 /// valid for the whole process lifetime and cheap to copy.
 std::shared_ptr<const Backend> shared_backend(BackendKind kind);
-
-/// Wrap a caller-owned engine in a ClsimBackend. The engine must outlive
-/// the returned backend; clsim::default_engine() resolves to the shared
-/// singleton instead of a fresh wrapper.
-std::shared_ptr<const Backend> wrap_engine(const clsim::Engine& engine);
 
 /// ExecContext — the resolved execution environment one runtime carries:
 /// shared ownership of the backend its plan executes on. Cheap to copy;

@@ -22,8 +22,8 @@ namespace spmv::fmt {
 
 /// ELL-packed bin: every covered row padded to the bin's max row length,
 /// columns/values column-major over the packed rows — entry (r, k) lives at
-/// k*rows.size() + r, padded with col -1 / value 0. Mirrors sparse/ell.hpp
-/// but packs only the bin's rows.
+/// k*rows.size() + r, padded with col -1 / value 0. A whole-matrix ELL is
+/// the layout of one bin holding every row at unit 1.
 template <typename T>
 struct EllBin {
   index_t width = 0;               ///< max row length in the bin

@@ -37,15 +37,9 @@ IterativeSession<T>::IterativeSession(std::shared_ptr<const CsrMatrix<T>> a,
   if (a == nullptr)
     throw std::invalid_argument("IterativeSession: null matrix");
   opts_.spmm_width = std::max(1, opts_.spmm_width);
-  if (opts_.backend == exec::BackendKind::Clsim && opts_.engine != nullptr)
-    backend_ = exec::wrap_engine(*opts_.engine);
-  else
-    backend_ = exec::shared_backend(opts_.backend);
-  if (opts_.adapt.has_value()) {
-    const clsim::Engine& engine =
-        opts_.engine != nullptr ? *opts_.engine : clsim::default_engine();
-    tuner_ = std::make_unique<adapt::BanditTuner<T>>(engine, *opts_.adapt);
-  }
+  backend_ = exec::shared_backend(opts_.backend);
+  if (opts_.adapt.has_value())
+    tuner_ = std::make_unique<adapt::BanditTuner<T>>(*opts_.adapt);
   if (opts_.plan_store != nullptr) opts_.plan_store->load();
   state_ = build_state(std::move(a));
 }

@@ -66,11 +66,9 @@ struct SessionOptions {
   /// Dense right-hand-side columns per iteration (the block width). 1
   /// iterates a single vector; >1 routes through the true-SpMM path.
   int spmm_width = 1;
-  /// Execution engine; null = clsim::default_engine(). Only used when
-  /// `backend` is Clsim.
-  const clsim::Engine* engine = nullptr;
   /// Backend stamped onto fresh predictor-driven plans; warm-started plans
-  /// are re-stamped too (the session owns one execution context).
+  /// are re-stamped too (the session owns one execution context: the
+  /// exec::shared_backend instance of this kind).
   exec::BackendKind backend = exec::BackendKind::Clsim;
   /// Per-bin format mode for fresh predictor-driven plans (`--format`).
   fmt::FormatMode format = fmt::FormatMode::Csr;

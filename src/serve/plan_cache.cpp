@@ -11,12 +11,10 @@ namespace spmv::serve {
 
 template <typename T>
 PlanCache<T>::PlanCache(const core::Predictor& predictor,
-                        const clsim::Engine& engine, std::size_t capacity,
-                        adapt::PlanStore* store,
+                        std::size_t capacity, adapt::PlanStore* store,
                         exec::BackendKind default_backend,
                         fmt::FormatMode format_mode)
     : predictor_(predictor),
-      engine_(engine),
       capacity_(capacity),
       store_(store),
       default_backend_(default_backend),
@@ -67,7 +65,7 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
     if (stored.has_value()) {
       entry = std::shared_ptr<const Entry>(new Entry{
           key, matrix,
-          core::Tuner(*matrix).plan(stored->plan).engine(engine_).build()});
+          core::Tuner(*matrix).plan(stored->plan).build()});
       std::lock_guard<std::mutex> lock(mutex_);
       stats_.warm_hits += 1;
     } else {
@@ -75,7 +73,6 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::get(
           key, matrix,
           core::Tuner(*matrix)
               .predictor(predictor_)
-              .engine(engine_)
               .backend(default_backend_)
               .formats(format_mode_)
               .build()});
@@ -127,7 +124,7 @@ std::shared_ptr<const typename PlanCache<T>::Entry> PlanCache<T>::promote(
   try {
     replacement = std::shared_ptr<const Entry>(new Entry{
         key, current->matrix,
-        core::Tuner(*current->matrix).plan(plan).engine(engine_).build()});
+        core::Tuner(*current->matrix).plan(plan).build()});
   } catch (const std::exception& e) {
     util::log_warn() << "PlanCache::promote: rebuild failed, keeping "
                         "incumbent plan ("

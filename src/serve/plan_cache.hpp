@@ -35,7 +35,6 @@
 #include <unordered_map>
 
 #include "adapt/plan_store.hpp"
-#include "clsim/engine.hpp"
 #include "core/auto_spmv.hpp"
 #include "exec/backend.hpp"
 #include "core/predictor.hpp"
@@ -73,19 +72,20 @@ class PlanCache {
     std::uint64_t rebin_promotions = 0;
   };
 
-  /// `predictor` and `engine` are used for every planning pass and must
-  /// outlive the cache, as must `store` when non-null (the cache does not
+  /// `predictor` is used for every planning pass and must outlive the
+  /// cache, as must `store` when non-null (the cache does not
   /// load or flush the store — the owner does; see SpmvService).
   /// `default_backend` is the backend stamped onto fresh predictor-driven
   /// plans; warm-started and promoted plans execute on whatever backend
-  /// they carry (backend is a plan property — see exec/backend.hpp).
+  /// they carry (backend is a plan property — see exec/backend.hpp), each
+  /// kind on its exec::shared_backend instance.
   /// `format_mode` likewise applies only to fresh predictor-driven plans:
   /// Auto lets the fmt estimator stamp per-bin formats (effective only on
   /// format-capable backends); warm-started and promoted plans keep their
   /// recorded per-bin formats either way.
   /// Throws std::invalid_argument when capacity is 0.
-  PlanCache(const core::Predictor& predictor, const clsim::Engine& engine,
-            std::size_t capacity, adapt::PlanStore* store = nullptr,
+  PlanCache(const core::Predictor& predictor, std::size_t capacity,
+            adapt::PlanStore* store = nullptr,
             exec::BackendKind default_backend = exec::BackendKind::Clsim,
             fmt::FormatMode format_mode = fmt::FormatMode::Csr);
 
@@ -119,7 +119,6 @@ class PlanCache {
   };
 
   const core::Predictor& predictor_;
-  const clsim::Engine& engine_;
   const std::size_t capacity_;
   adapt::PlanStore* store_;
   const exec::BackendKind default_backend_;

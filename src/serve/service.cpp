@@ -47,10 +47,8 @@ struct SpmvService<T>::Queue {
 template <typename T>
 SpmvService<T>::SpmvService(const core::Predictor& predictor,
                             const ServiceOptions& opts)
-    : engine_(opts.engine != nullptr ? *opts.engine
-                                     : clsim::default_engine()),
-      opts_(opts),
-      cache_(predictor, engine_, opts.cache_capacity, opts.plan_store,
+    : opts_(opts),
+      cache_(predictor, opts.cache_capacity, opts.plan_store,
              opts.backend, opts.format),
       queue_(std::make_unique<Queue>()) {
   if (opts_.workers < 1)
@@ -61,7 +59,7 @@ SpmvService<T>::SpmvService(const core::Predictor& predictor,
   // cache (workers have not been spawned yet, submit() cannot run yet).
   if (opts_.plan_store != nullptr) opts_.plan_store->load();
   if (opts_.adapt.has_value())
-    tuner_ = std::make_unique<adapt::BanditTuner<T>>(engine_, *opts_.adapt);
+    tuner_ = std::make_unique<adapt::BanditTuner<T>>(*opts_.adapt);
   queue_->workers.reserve(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i)
     queue_->workers.emplace_back([this] { worker_loop(); });
@@ -262,7 +260,7 @@ void SpmvService<T>::worker_loop() {
         core::execute_plan(rt.backend(), a,
                            std::span<const T>(batch.front().x),
                            std::span<T>(y), rt.bins(), rt.plan(),
-                           rt.layouts());
+                           nullptr, rt.layouts());
         complete(batch.front(), std::move(y));
       } else {
         // Column-major gather/scatter around one batched execution.

@@ -37,7 +37,6 @@
 
 #include "adapt/bandit.hpp"
 #include "adapt/plan_store.hpp"
-#include "clsim/engine.hpp"
 #include "core/predictor.hpp"
 #include "exec/backend.hpp"
 #include "fmt/format.hpp"
@@ -65,13 +64,11 @@ struct ServiceOptions {
   int workers = 2;                  ///< request-draining threads
   std::size_t queue_high_water = 256;  ///< admissions beyond this reject
   int max_batch = 8;                ///< vectors coalesced per execution
-  /// Execution engine; null = clsim::default_engine(). Only used when a
-  /// plan resolves to the clsim backend.
-  const clsim::Engine* engine = nullptr;
   /// Backend stamped onto fresh predictor-driven plans. Execution always
   /// follows the *plan's* backend, so warm-started or promoted plans keep
   /// running on whatever backend they were tuned for regardless of this
-  /// default (backend is a plan property — see exec/backend.hpp).
+  /// default (backend is a plan property — see exec/backend.hpp). Each
+  /// kind executes on its exec::shared_backend instance.
   exec::BackendKind backend = exec::BackendKind::Clsim;
   /// Per-bin format mode stamped onto fresh predictor-driven plans (the
   /// `--format csr|auto` knob). Auto lets the fmt estimator pick per-bin
@@ -155,7 +152,6 @@ class SpmvService {
 
   void worker_loop();
 
-  const clsim::Engine& engine_;
   ServiceOptions opts_;
   PlanCache<T> cache_;
   std::unique_ptr<adapt::BanditTuner<T>> tuner_;  ///< null when adapt off

@@ -44,10 +44,9 @@ struct InFlight {
 
 template <typename T>
 struct ShardedService<T>::Shard {
-  Shard(int idx, clsim::Device dev) : index(idx), engine(dev) {}
+  explicit Shard(int idx) : index(idx) {}
 
   const int index;
-  clsim::Engine engine;  ///< this shard's compute-unit slice
   std::unique_ptr<adapt::BanditTuner<T>> tuner;  ///< null when adapt off
 
   /// Guards the swappable runtime and the counters below. Held briefly:
@@ -105,17 +104,9 @@ ShardedService<T>::ShardedService(std::shared_ptr<const CsrMatrix<T>> a,
 
   if (opts_.plan_store != nullptr) opts_.plan_store->load();
 
-  // Engine slicing: split the total thread budget evenly across shards so
-  // K shards executing one request concurrently use ~the whole machine,
-  // not K times it.
-  clsim::Device dev;
-  dev.compute_units = opts_.total_compute_units;
-  const int total = dev.resolved_compute_units();
-  dev.compute_units = std::max(1, total / std::max(1, k));
-
   shards_.reserve(static_cast<std::size_t>(k));
   for (int s = 0; s < k; ++s) {
-    auto sh = std::make_unique<Shard>(s, dev);
+    auto sh = std::make_unique<Shard>(s);
     const CsrMatrix<T>& sub = *set_.matrices[static_cast<std::size_t>(s)];
     const serve::Fingerprint& fp =
         set_.fingerprints[static_cast<std::size_t>(s)];
@@ -135,7 +126,6 @@ ShardedService<T>::ShardedService(std::shared_ptr<const CsrMatrix<T>> a,
       // promotions and store write-throughs inherit it).
       core::AutoSpmv<T> fresh = core::Tuner<T>(sub)
                                     .predictor(predictor)
-                                    .engine(sh->engine)
                                     .backend(opts_.backend)
                                     .formats(opts_.format)
                                     .build();
@@ -146,12 +136,11 @@ ShardedService<T>::ShardedService(std::shared_ptr<const CsrMatrix<T>> a,
     plan.shard_count = k;
     plan.shard_parent = set_.parent_hash;
     sh->runtime = std::make_shared<const core::AutoSpmv<T>>(
-        core::Tuner<T>(sub).plan(plan).engine(sh->engine).build());
+        core::Tuner<T>(sub).plan(plan).build());
     if (opts_.plan_store != nullptr && !sh->warm_start)
       opts_.plan_store->put(fp, adapt::StoredPlan{sh->runtime->plan()});
     if (opts_.adapt.has_value())
-      sh->tuner =
-          std::make_unique<adapt::BanditTuner<T>>(sh->engine, *opts_.adapt);
+      sh->tuner = std::make_unique<adapt::BanditTuner<T>>(*opts_.adapt);
     shards_.push_back(std::move(sh));
   }
 
@@ -312,7 +301,7 @@ void ShardedService<T>::worker_loop(int shard) {
     if (opts_.obs_sink != nullptr)
       opts_.obs_sink->push_stat("shard.exec_s", exec_s, shard);
 
-    // Online adaptation on this shard's own arm state and engine slice.
+    // Online adaptation on this shard's own arm state.
     // Trials run synchronously here, so joined workers imply drained
     // trials (same contract as serve::SpmvService).
     if (sh.tuner != nullptr && err == nullptr) {
@@ -326,7 +315,7 @@ void ShardedService<T>::worker_loop(int shard) {
         next.shard_parent = set_.parent_hash;
         try {
           auto replacement = std::make_shared<const core::AutoSpmv<T>>(
-              core::Tuner<T>(sub).plan(next).engine(sh.engine).build());
+              core::Tuner<T>(sub).plan(next).build());
           {
             std::lock_guard<std::mutex> lock(sh.mutex);
             sh.runtime = replacement;

@@ -1,8 +1,8 @@
 // ShardedService — row-partitioned serving of ONE large matrix: K shards
-// (shard/partition.hpp), each with its own engine slice, its own plan, its
-// own bandit arm state, and its own PlanStore entry; requests fan out to
-// every shard and the disjoint output row ranges scatter-gather into one
-// result vector with no copy of x. In front, a tenant-weighted fair queue
+// (shard/partition.hpp), each with its own plan, its own bandit arm
+// state, and its own PlanStore entry; requests fan out to every shard and
+// the disjoint output row ranges scatter-gather into one result vector
+// with no copy of x. In front, a tenant-weighted fair queue
 // (shard/fair_queue.hpp) replaces SpmvService's single FIFO.
 //
 //   spmv::core::HeuristicPredictor pred;
@@ -39,7 +39,6 @@
 
 #include "adapt/bandit.hpp"
 #include "adapt/plan_store.hpp"
-#include "clsim/engine.hpp"
 #include "core/plan.hpp"
 #include "core/predictor.hpp"
 #include "exec/backend.hpp"
@@ -73,13 +72,10 @@ struct ShardedOptions {
   /// max(2, 2 * workers_per_shard). Small on purpose: backlog beyond it
   /// waits in the fair queue where DRR ordering applies.
   std::size_t dispatch_window = 0;
-  /// Engine threads split across the K shard slices; 0 = all hardware
-  /// threads. Each shard's clsim engine gets max(1, total / K) compute
-  /// units — its own ThreadPool slice.
-  int total_compute_units = 0;
   /// Backend/format stamped onto fresh predictor-driven shard plans;
   /// warm-started and promoted plans keep their own (same contract as
-  /// serve::ServiceOptions).
+  /// serve::ServiceOptions; each kind executes on its exec::shared_backend
+  /// instance).
   exec::BackendKind backend = exec::BackendKind::Clsim;
   fmt::FormatMode format = fmt::FormatMode::Csr;
   /// shutdown() folds ServeStats (incl. per-tenant/per-shard blocks) into
@@ -88,8 +84,8 @@ struct ShardedOptions {
   /// Loaded at construction, per-shard fingerprints looked up for warm
   /// starts, written through on planning/promotion, flushed at shutdown.
   adapt::PlanStore* plan_store = nullptr;
-  /// Online adaptation: one BanditTuner per shard (each on its shard's
-  /// engine slice), arms keyed by the shard's own fingerprint.
+  /// Online adaptation: one BanditTuner per shard, arms keyed by the
+  /// shard's own fingerprint.
   std::optional<adapt::AdaptOptions> adapt;
   /// Streaming stat deltas (shard-tagged) as they happen.
   obs::StreamingSink* obs_sink = nullptr;

@@ -91,7 +91,7 @@ TEST(BanditTuner, ConvergesToRiggedBestKernel) {
     return arm == static_cast<std::int64_t>(kernels::KernelId::Sub16) ? 10.0
                                                                      : 1.0;
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
 
   std::optional<BanditTuner<float>::Promotion> promo;
   int trials = 0;
@@ -144,7 +144,7 @@ TEST(BanditTuner, HysteresisBlocksFlappingUnderNoise) {
         arm == static_cast<std::int64_t>(kernels::KernelId::Sub2) ? 1.05 : 1.0;
     return base * noise.uniform(0.98, 1.02);
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
 
   for (int i = 0; i < 300; ++i) {
     const auto promo = tuner.observe(key, plan, bins, a, x);
@@ -178,7 +178,7 @@ TEST(BanditTuner, UnitExplorationPromotesRebinnedPlan) {
     EXPECT_EQ(level, Level::Unit);
     return arm == 1000 ? 10.0 : 1.0;
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
 
   std::optional<BanditTuner<float>::Promotion> promo;
   int trials = 0;
@@ -228,7 +228,7 @@ TEST(BanditTuner, UnitHysteresisAndCooldownPreventPingPong) {
   opts.measure_override = [](Level, int /*bin*/, std::int64_t arm) {
     return arm == 1000 ? 1.05 : 1.0;
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
   for (int i = 0; i < 100; ++i)
     EXPECT_FALSE(tuner.observe(key, plan, bins, a, x).has_value())
         << "U flapped on trial " << i;
@@ -243,7 +243,7 @@ TEST(BanditTuner, UnitHysteresisAndCooldownPreventPingPong) {
   copts.measure_override = [](Level level, int /*bin*/, std::int64_t arm) {
     return level == Level::Unit && arm == 1000 ? 10.0 : 1.0;
   };
-  BanditTuner<float> cool(clsim::default_engine(), copts);
+  BanditTuner<float> cool(copts);
   std::optional<BanditTuner<float>::Promotion> promo;
   for (int i = 0; i < 50 && !promo.has_value(); ++i)
     promo = cool.observe(key, plan, bins, a, x);
@@ -280,7 +280,7 @@ TEST(BanditTuner, BackendExplorationPromotesRestampedPlan) {
     return arm == static_cast<std::int64_t>(exec::BackendKind::Native) ? 10.0
                                                                        : 1.0;
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
 
   std::optional<BanditTuner<float>::Promotion> promo;
   int trials = 0;
@@ -341,7 +341,7 @@ TEST(BanditTuner, BackendHysteresisAndCooldownPreventFlapping) {
                                                                     : 1.0;
     return base * noise.uniform(0.98, 1.02);
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
   for (int i = 0; i < 200; ++i)
     EXPECT_FALSE(tuner.observe(key, plan, bins, a, x).has_value())
         << "backend flapped on trial " << i;
@@ -360,7 +360,7 @@ TEST(BanditTuner, BackendHysteresisAndCooldownPreventFlapping) {
                ? 10.0
                : 1.0;
   };
-  BanditTuner<float> cool(clsim::default_engine(), copts);
+  BanditTuner<float> cool(copts);
   std::optional<BanditTuner<float>::Promotion> promo;
   for (int i = 0; i < 50 && !promo.has_value(); ++i)
     promo = cool.observe(key, plan, bins, a, x);
@@ -400,7 +400,7 @@ TEST(BanditTuner, FormatExplorationPromotesRestampedBin) {
     return arm == static_cast<std::int64_t>(fmt::FormatKind::Ell) ? 10.0
                                                                   : 1.0;
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
 
   std::optional<BanditTuner<float>::Promotion> promo;
   int trials = 0;
@@ -472,7 +472,7 @@ TEST(BanditTuner, FormatHysteresisAndCooldownPreventFlapping) {
         arm == static_cast<std::int64_t>(fmt::FormatKind::Csr) ? 1.0 : 1.05;
     return base * noise.uniform(0.98, 1.02);
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
   for (int i = 0; i < 200; ++i)
     EXPECT_FALSE(tuner.observe(key, plan, bins, a, x).has_value())
         << "format flapped on trial " << i;
@@ -490,7 +490,7 @@ TEST(BanditTuner, FormatHysteresisAndCooldownPreventFlapping) {
                ? 10.0
                : 1.0;
   };
-  BanditTuner<float> cool(clsim::default_engine(), copts);
+  BanditTuner<float> cool(copts);
   std::optional<BanditTuner<float>::Promotion> promo;
   for (int i = 0; i < 50 && !promo.has_value(); ++i)
     promo = cool.observe(key, plan, bins, a, x);
@@ -539,7 +539,7 @@ TEST(BanditTuner, RejectedFormatsAreNegativeCachedNotRetried) {
     return arm == static_cast<std::int64_t>(fmt::FormatKind::Dcsr) ? 10.0
                                                                    : 1.0;
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
 
   std::optional<BanditTuner<float>::Promotion> promo;
   for (int i = 0; i < 100 && !promo.has_value(); ++i)
@@ -571,7 +571,7 @@ TEST(BanditTuner, FormatTrialsSkipFormatBlindBackends) {
       ADD_FAILURE() << "format trial ran on a format-blind backend";
     return 1.0;
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
   for (int i = 0; i < 30; ++i)
     (void)tuner.observe(serve::fingerprint_of(a), plan, bins, a, x);
   EXPECT_EQ(tuner.stats().f_trials, 0u);
@@ -588,7 +588,7 @@ TEST(BanditTuner, RealMeasurementsDoNotThrow) {
   AdaptOptions opts;
   opts.trial_fraction = 1.0;
   opts.min_samples = 1;
-  BanditTuner<double> tuner(clsim::default_engine(), opts);
+  BanditTuner<double> tuner(opts);
   for (int i = 0; i < 10; ++i)
     (void)tuner.observe(serve::fingerprint_of(a), spmv.plan(), spmv.bins(), a,
                         x);
@@ -695,7 +695,7 @@ DecisionTrace observe_trace(AdaptOptions opts, int calls) {
   opts.measure_override = [&seam](Level level, int bin, std::int64_t arm) {
     return seam(level, bin, arm);
   };
-  BanditTuner<float> tuner(clsim::default_engine(), opts);
+  BanditTuner<float> tuner(opts);
 
   DecisionTrace t;
   for (int i = 0; i < calls; ++i) {
@@ -785,7 +785,7 @@ TEST(BanditGolden, LatencyFeedbackAtDefaultOptions) {
     plan.bin_kernels.push_back({b, kernels::KernelId::Serial});
   const auto key = serve::fingerprint_of(a);
   RiggedSeam seam;
-  BanditTuner<float> tuner(clsim::default_engine(), AdaptOptions{});
+  BanditTuner<float> tuner(AdaptOptions{});
   const auto nnz = static_cast<std::int64_t>(a.nnz());
 
   DecisionTrace t;
@@ -1071,7 +1071,7 @@ TEST(PlanCacheAdapt, WarmStartSkipsPredictor) {
   {
     PlanStore store(file.path);
     store.load();
-    serve::PlanCache<float> cache(pred, clsim::default_engine(), 4, &store);
+    serve::PlanCache<float> cache(pred, 4, &store);
     EXPECT_NE(cache.get(a), nullptr);
     const auto s = cache.stats();
     EXPECT_EQ(s.planning_passes, 1u);
@@ -1080,7 +1080,7 @@ TEST(PlanCacheAdapt, WarmStartSkipsPredictor) {
   }
   PlanStore store(file.path);
   store.load();
-  serve::PlanCache<float> cache(pred, clsim::default_engine(), 4, &store);
+  serve::PlanCache<float> cache(pred, 4, &store);
   EXPECT_NE(cache.get(a), nullptr);
   const auto s = cache.stats();
   EXPECT_EQ(s.warm_hits, 1u);
@@ -1089,7 +1089,7 @@ TEST(PlanCacheAdapt, WarmStartSkipsPredictor) {
 
 TEST(PlanCacheAdapt, PromoteIsMonotonicAndVisible) {
   core::HeuristicPredictor pred;
-  serve::PlanCache<double> cache(pred, clsim::default_engine(), 4);
+  serve::PlanCache<double> cache(pred, 4);
   auto a = std::make_shared<const CsrMatrix<double>>(
       gen::power_law<double>(900, 900, 2.0, 90, 29));
   const auto key = serve::fingerprint_of(*a);
@@ -1116,9 +1116,9 @@ TEST(PlanCacheAdapt, PromoteIsMonotonicAndVisible) {
       random_vector<double>(static_cast<std::size_t>(a->cols()), 31);
   std::vector<double> y(static_cast<std::size_t>(a->rows()));
   const auto entry = cache.get(a);
-  core::execute_plan(clsim::default_engine(), *a, std::span<const double>(x),
-                     std::span<double>(y), entry->runtime.bins(),
-                     entry->runtime.plan());
+  core::execute_plan(*exec::shared_backend(exec::BackendKind::Clsim), *a,
+                     std::span<const double>(x), std::span<double>(y),
+                     entry->runtime.bins(), entry->runtime.plan());
   const auto exact = kernels::spmv_exact(*a, std::span<const double>(x));
   for (std::size_t i = 0; i < y.size(); ++i)
     ASSERT_NEAR(y[i], exact[i], 1e-9 * (std::abs(exact[i]) + 1.0));
@@ -1130,7 +1130,7 @@ TEST(PlanCacheAdapt, PromoteIsMonotonicAndVisible) {
 // ThreadSanitizer.)
 TEST(PlanCacheAdaptStress, BackendSwapRacesKernelPromotion) {
   core::HeuristicPredictor pred;
-  serve::PlanCache<float> cache(pred, clsim::default_engine(), 4);
+  serve::PlanCache<float> cache(pred, 4);
   auto a = std::make_shared<const CsrMatrix<float>>(
       gen::power_law<float>(800, 800, 2.0, 80, 83));
   const auto key = serve::fingerprint_of(*a);
@@ -1186,7 +1186,7 @@ TEST(PlanCacheAdaptStress, BackendSwapRacesKernelPromotion) {
 // torn entries (tsan preset runs this under ThreadSanitizer).
 TEST(PlanCacheAdaptStress, ConcurrentPromotionVsEviction) {
   core::HeuristicPredictor pred;
-  serve::PlanCache<float> cache(pred, clsim::default_engine(), 2);
+  serve::PlanCache<float> cache(pred, 2);
   constexpr int kMatrices = 4;
   std::vector<std::shared_ptr<const CsrMatrix<float>>> mats;
   for (int i = 0; i < kMatrices; ++i)

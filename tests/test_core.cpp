@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/auto_spmv.hpp"
 #include "core/candidates.hpp"
@@ -24,6 +25,11 @@ std::vector<float> random_vector(std::size_t n, std::uint64_t seed) {
   std::vector<float> v(n);
   for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
   return v;
+}
+
+/// The paper's reference backend: clsim on the default engine.
+const exec::Backend& clsim_backend() {
+  return *exec::shared_backend(exec::BackendKind::Clsim);
 }
 
 void expect_matches_exact(const CsrMatrix<float>& a,
@@ -83,10 +89,91 @@ TEST(ExecutePlan, UnitMismatchThrows) {
   Plan plan;
   plan.unit = 10;
   const auto bins = binning::bin_matrix(a, 20);
-  EXPECT_THROW(execute_plan(clsim::default_engine(), a,
+  EXPECT_THROW(execute_plan(clsim_backend(), a,
                             std::span<const float>(x), std::span<float>(y),
                             bins, plan),
                std::invalid_argument);
+}
+
+// The three execute_plan* entries share one bin loop: profiling must not
+// change y, and every entry records the same way — one run per call and
+// one bin sample per non-empty bin, covering every non-zero once.
+TEST(ExecutorLoop, EveryEntryProfilesAlikeAndProfilingNeverChangesY) {
+  const CsrMatrix<float> matrices[] = {
+      // Many bins of different regimes.
+      gen::mixed_regime<float>(3000, 3000, 0.5, 0.3, 3, 40, 300, 32, 9),
+      // Near-uniform short rows: Auto stamps ELL bins on native.
+      gen::fixed_degree<float>(900, 900, 5, 101),
+  };
+  constexpr int kWidth = 3;
+  enum class Entry { Single, Batch, Spmm };
+  HeuristicPredictor pred;
+  bool saw_layout_bin = false;
+  for (const auto& a : matrices) {
+    const auto n = static_cast<std::size_t>(a.cols());
+    const auto m = static_cast<std::size_t>(a.rows());
+    const auto x = random_vector(n * kWidth, 17);
+    for (const auto kind : exec::all_backends()) {
+      for (const auto mode : {fmt::FormatMode::Csr, fmt::FormatMode::Auto}) {
+        const auto rt = Tuner(a)
+                            .predictor(pred)
+                            .backend(kind)
+                            .formats(mode)
+                            .format_policy({.eager = true})
+                            .build();
+        std::size_t occupied = 0;
+        for (const BinPlan& bp : rt.plan().bin_kernels)
+          if (!rt.bins().bin(bp.bin_id).empty()) ++occupied;
+        for (const Entry entry : {Entry::Single, Entry::Batch, Entry::Spmm}) {
+          const int width = entry == Entry::Single ? 1 : kWidth;
+          const auto xs = std::span<const float>(x).subspan(
+              0, n * static_cast<std::size_t>(width));
+          const auto run = [&](prof::RunProfile* profile) {
+            std::vector<float> y(m * static_cast<std::size_t>(width), -1.0f);
+            const std::span<float> ys(y);
+            switch (entry) {
+              case Entry::Single:
+                execute_plan(rt.backend(), a, xs, ys, rt.bins(), rt.plan(),
+                             profile, rt.layouts());
+                break;
+              case Entry::Batch:
+                execute_plan_batch(rt.backend(), a, xs, ys, width, rt.bins(),
+                                   rt.plan(), profile, rt.layouts());
+                break;
+              case Entry::Spmm:
+                execute_plan_spmm(rt.backend(), a, xs, ys, width, rt.bins(),
+                                  rt.plan(), profile, rt.layouts());
+                break;
+            }
+            return y;
+          };
+          SCOPED_TRACE(std::string(exec::backend_cname(kind)) + " " +
+                       fmt::format_mode_cname(mode) + " entry " +
+                       std::to_string(static_cast<int>(entry)) + " rows " +
+                       std::to_string(m));
+          const auto plain = run(nullptr);
+          prof::RunProfile profile;
+          const auto profiled = run(&profile);
+          ASSERT_EQ(plain.size(), profiled.size());
+          EXPECT_EQ(std::memcmp(plain.data(), profiled.data(),
+                                plain.size() * sizeof(float)),
+                    0);
+          EXPECT_EQ(profile.runs, 1u);
+          EXPECT_EQ(profile.bins.size(), occupied);
+          std::int64_t nnz = 0;
+          for (const auto& sample : profile.bins) {
+            nnz += sample.nnz;
+            EXPECT_EQ(sample.launches, 1u);
+            if (sample.kernel.find('+') != std::string::npos)
+              saw_layout_bin = true;
+          }
+          EXPECT_EQ(nnz, static_cast<std::int64_t>(a.nnz()));
+        }
+      }
+    }
+  }
+  // The layout branch of the loop ran (native + Auto stamps ELL above).
+  EXPECT_TRUE(saw_layout_bin);
 }
 
 TEST(Exhaustive, FindsValidPlanAndExecutesCorrectly) {
@@ -98,7 +185,7 @@ TEST(Exhaustive, FindsValidPlanAndExecutesCorrectly) {
   ExhaustiveOptions opts;
   opts.measure = {.warmup = 0, .reps = 1, .max_total_s = 0.05};
   const auto tuned =
-      exhaustive_tune(clsim::default_engine(), a, std::span<const float>(x),
+      exhaustive_tune(clsim_backend(), a, std::span<const float>(x),
                       pools, opts);
 
   EXPECT_GE(pools.unit_index(tuned.best_plan.unit), 0);
@@ -109,7 +196,7 @@ TEST(Exhaustive, FindsValidPlanAndExecutesCorrectly) {
   // The winning plan must still be a correct SpMV.
   const auto bins = bins_for_plan(a, tuned.best_plan);
   std::vector<float> y(static_cast<std::size_t>(a.rows()));
-  execute_plan(clsim::default_engine(), a, std::span<const float>(x),
+  execute_plan(clsim_backend(), a, std::span<const float>(x),
                std::span<float>(y), bins, tuned.best_plan);
   expect_matches_exact(a, x, y);
 }
@@ -120,7 +207,7 @@ TEST(Exhaustive, BestIsNoWorseThanAnyMeasuredUnit) {
   ExhaustiveOptions opts;
   opts.measure = {.warmup = 0, .reps = 1, .max_total_s = 0.05};
   const auto tuned = exhaustive_tune(
-      clsim::default_engine(), a, std::span<const float>(x), small_pools(),
+      clsim_backend(), a, std::span<const float>(x), small_pools(),
       opts);
   double best_total = std::numeric_limits<double>::infinity();
   for (const auto& ur : tuned.per_unit)
@@ -145,7 +232,7 @@ TEST(Exhaustive, SingleBinIncludedWhenEnabled) {
   ExhaustiveOptions opts;
   opts.measure = {.warmup = 0, .reps = 1, .max_total_s = 0.02};
   const auto tuned = exhaustive_tune(
-      clsim::default_engine(), a, std::span<const float>(x), pools, opts);
+      clsim_backend(), a, std::span<const float>(x), pools, opts);
   EXPECT_EQ(tuned.per_unit.size(), pools.units.size() + 1);
   EXPECT_TRUE(tuned.per_unit.back().single_bin);
   ASSERT_EQ(tuned.per_unit.back().bin_kernels.size(), 1u);
@@ -156,7 +243,7 @@ TEST(Exhaustive, EmptyPoolThrows) {
   const auto a = gen::diagonal<float>(10);
   const auto x = random_vector(10, 5);
   CandidatePools empty;
-  EXPECT_THROW(exhaustive_tune(clsim::default_engine(), a,
+  EXPECT_THROW(exhaustive_tune(clsim_backend(), a,
                                std::span<const float>(x), empty),
                std::invalid_argument);
 }

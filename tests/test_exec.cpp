@@ -1,9 +1,8 @@
 // Tests for the spmv::exec backend seam itself: name round-trips, the
-// shared-instance contract of shared_backend()/wrap_engine(), ExecContext
-// validation, batch argument validation at the interface layer, numeric
+// shared-instance contract of shared_backend(), ExecContext validation,
+// batch argument validation at the interface layer, and numeric
 // clsim-vs-native parity on a few structured matrices (the full random
-// corpus lives in test_differential), and the deprecated kernels::run_*
-// forwards.
+// corpus lives in test_differential).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -64,21 +63,10 @@ TEST(ExecShared, SharedBackendReturnsProcessWideSingletons) {
   }
   EXPECT_NE(exec::shared_backend(exec::BackendKind::Clsim).get(),
             exec::shared_backend(exec::BackendKind::Native).get());
-}
-
-TEST(ExecShared, WrapEngineShortCircuitsTheDefaultEngine) {
-  const auto wrapped = exec::wrap_engine(clsim::default_engine());
-  EXPECT_EQ(wrapped.get(),
-            exec::shared_backend(exec::BackendKind::Clsim).get());
-  EXPECT_EQ(wrapped->engine(), &clsim::default_engine());
-
-  // A caller-owned engine gets its own wrapper bound to that engine.
-  clsim::Engine own;
-  const auto own_wrapped = exec::wrap_engine(own);
-  EXPECT_NE(own_wrapped.get(), wrapped.get());
-  EXPECT_EQ(own_wrapped->engine(), &own);
-
-  // The native backend never touches clsim.
+  // The clsim singleton drives the default engine; native never touches
+  // clsim.
+  EXPECT_EQ(exec::shared_backend(exec::BackendKind::Clsim)->engine(),
+            &clsim::default_engine());
   EXPECT_EQ(exec::shared_backend(exec::BackendKind::Native)->engine(),
             nullptr);
 }

@@ -2,8 +2,9 @@
 // registry round trips, layout builders vs the exact CSR result (including
 // empty-covered-row zeroing and the batched variants), builder rejection of
 // unsuitable bins, the feature-based estimator's regime decisions, the
-// lazy/amortized PlanLayouts cache, and end-to-end execute_plan behaviour
-// on format-capable and format-blind backends.
+// lazy/amortized PlanLayouts cache, end-to-end execute_plan behaviour on
+// format-capable and format-blind backends, and the whole-matrix ELL
+// layout (padding accounting and the expansion refusal).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,9 +19,12 @@
 #include "exec/backend.hpp"
 #include "fmt/estimate.hpp"
 #include "fmt/format.hpp"
+#include "fmt/layout.hpp"
 #include "fmt/plan_layouts.hpp"
 #include "gen/generators.hpp"
 #include "kernels/reference.hpp"
+#include "sparse/convert.hpp"
+#include "sparse/coo.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -527,7 +531,8 @@ TEST(AutoFormats, ForcedFormatsOnClsimPlanFallBackToCsr) {
   std::vector<float> y(static_cast<std::size_t>(a.rows()));
   const auto backend = exec::shared_backend(exec::BackendKind::Clsim);
   core::execute_plan(*backend, a, std::span<const float>(x),
-                     std::span<float>(y), spmv.bins(), plan, &layouts);
+                     std::span<float>(y), spmv.bins(), plan, nullptr,
+                     &layouts);
   for (std::size_t i = 0; i < y.size(); ++i)
     ASSERT_NEAR(y[i], exact[i], 2e-4 * (std::abs(exact[i]) + 1.0));
   // The format-blind path never touched the layout cache.
@@ -560,6 +565,112 @@ TEST(AutoFormats, BatchedExecutePlanWithLayoutsMatchesExact) {
           << "col " << col << " row " << i;
   }
   EXPECT_GE(spmv.layouts()->stats().builds, 1u);
+}
+
+// --- whole-matrix ELL -----------------------------------------------------
+// ELLPACK over every row: the layout of one bin holding all rows at unit 1
+// (what examples/format_overhead times against CSR), with the padding
+// accounting and the 16x expansion refusal the paper cites against format
+// switching on skewed matrices.
+
+std::vector<index_t> all_rows(const CsrMatrix<double>& a) {
+  std::vector<index_t> rows(static_cast<std::size_t>(a.rows()));
+  std::iota(rows.begin(), rows.end(), index_t{0});
+  return rows;
+}
+
+fmt::BinLayout<double> whole_matrix_ell(const CsrMatrix<double>& a) {
+  const auto rows = all_rows(a);
+  return fmt::build_bin_layout(a, std::span<const index_t>(rows), index_t{1},
+                               fmt::FormatKind::Ell, 0);
+}
+
+double whole_matrix_padding(const CsrMatrix<double>& a) {
+  const auto rows = all_rows(a);
+  return fmt::compute_bin_features(a, std::span<const index_t>(rows),
+                                   index_t{1})
+      .padding_ratio;
+}
+
+TEST(Ell, PaddingRatioUniformIsOne) {
+  const auto a = gen::fixed_degree<double>(200, 100, 5, 1);
+  EXPECT_DOUBLE_EQ(whole_matrix_padding(a), 1.0);
+}
+
+TEST(Ell, PaddingRatioSkewedExplodes) {
+  // 99 rows with 1 nnz + 1 row with 1000 nnz: ratio = 100*1000/1099 ~ 91.
+  CooMatrix<double> coo(100, 1000);
+  for (index_t r = 0; r < 99; ++r) coo.add(r, r % 1000, 1.0);
+  for (index_t c = 0; c < 1000; ++c) coo.add(99, c, 1.0);
+  const auto a = coo_to_csr(std::move(coo));
+  EXPECT_GT(whole_matrix_padding(a), 50.0);
+  // Width 1000 is within ell_max_width: the default 16x expansion refuses.
+  EXPECT_THROW((void)whole_matrix_ell(a), std::length_error);
+}
+
+TEST(Ell, EmptyMatrixRatioZero) {
+  const CsrMatrix<double> empty;
+  EXPECT_DOUBLE_EQ(whole_matrix_padding(empty), 0.0);
+}
+
+TEST(Ell, ConversionLayoutIsColumnMajor) {
+  // 2x3: row0 = [a@0, b@2], row1 = [c@1].
+  CooMatrix<double> coo(2, 3);
+  coo.add(0, 0, 1.0);
+  coo.add(0, 2, 2.0);
+  coo.add(1, 1, 3.0);
+  const auto l = whole_matrix_ell(coo_to_csr(std::move(coo)));
+  EXPECT_EQ(l.ell.width, 2);
+  ASSERT_EQ(l.ell.col.size(), 4u);
+  // Column-major: slot k*rows + r.
+  EXPECT_EQ(l.ell.col[0], 0);   // (r0, k0)
+  EXPECT_EQ(l.ell.col[1], 1);   // (r1, k0)
+  EXPECT_EQ(l.ell.col[2], 2);   // (r0, k1)
+  EXPECT_EQ(l.ell.col[3], -1);  // (r1, k1): padding
+  EXPECT_DOUBLE_EQ(l.ell.val[2], 2.0);
+}
+
+class EllSpmv : public ::testing::TestWithParam<int> {};
+
+TEST_P(EllSpmv, MatchesCsrReference) {
+  CsrMatrix<double> a = [&] {
+    switch (GetParam()) {
+      case 0: return gen::diagonal<double>(500);
+      case 1: return gen::fixed_degree<double>(600, 300, 4, 2);
+      case 2: return gen::banded<double>(400, 5, 0.5, 3);
+      default:
+        return gen::random_uniform<double>(500, 500, 10.0, 0.3, 2, 30, 4);
+    }
+  }();
+  const auto x = random_vector<double>(static_cast<std::size_t>(a.cols()), 9);
+  const auto l = whole_matrix_ell(a);
+  std::vector<double> y(static_cast<std::size_t>(a.rows()));
+  exec::shared_backend(exec::BackendKind::Native)
+      ->run_layout(a, l, std::span<const double>(x), std::span<double>(y));
+  const auto exact = kernels::spmv_exact(a, std::span<const double>(x));
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    ASSERT_NEAR(y[i], exact[i], 1e-9 * (std::abs(exact[i]) + 1.0));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrices, EllSpmv, ::testing::Range(0, 4));
+
+TEST(Ell, SpmvShapeChecks) {
+  const auto a = gen::diagonal<double>(10);
+  const auto l = whole_matrix_ell(a);
+  std::vector<double> x(5), y(10);
+  EXPECT_THROW(exec::shared_backend(exec::BackendKind::Native)
+                   ->run_layout(a, l, std::span<const double>(x),
+                                std::span<double>(y)),
+               std::invalid_argument);
+}
+
+TEST(Ell, BytesAccountPadding) {
+  const auto a = gen::fixed_degree<double>(100, 100, 4, 7);
+  const auto l = whole_matrix_ell(a);
+  // The covered-row list plus 100 rows x width 4 padded entries.
+  EXPECT_EQ(l.bytes, 100u * sizeof(index_t) +
+                         400u * (sizeof(index_t) + sizeof(double)));
 }
 
 }  // namespace

@@ -353,7 +353,7 @@ TEST(IterSession, LatencyFeedbackPromotesWithoutShadowLaunches) {
   opts.hysteresis = 1.05;
   opts.hot_bins = 2;
   opts.seed = base_seed();
-  adapt::BanditTuner<double> tuner(clsim::default_engine(), opts);
+  adapt::BanditTuner<double> tuner(opts);
 
   const auto nnz = static_cast<std::int64_t>(a.nnz());
   core::Plan live = plan;

@@ -24,8 +24,7 @@ using kernels::KernelId;
 
 /// The pool kernels' dispatch: the clsim backend on the default engine.
 const exec::Backend& clsim_backend() {
-  static const auto backend = exec::wrap_engine(clsim::default_engine());
-  return *backend;
+  return *exec::shared_backend(exec::BackendKind::Clsim);
 }
 
 std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {

@@ -111,7 +111,7 @@ TEST(Fingerprint, LargeMatrixSamplingIsDeterministic) {
 
 TEST(PlanCache, HitMissEvictCounters) {
   core::HeuristicPredictor pred;
-  PlanCache<float> cache(pred, clsim::default_engine(), 2);
+  PlanCache<float> cache(pred, 2);
 
   auto a = std::make_shared<const CsrMatrix<float>>(
       gen::diagonal<float>(500));
@@ -136,7 +136,7 @@ TEST(PlanCache, HitMissEvictCounters) {
 
 TEST(PlanCache, SameStructureSharesOneEntry) {
   core::HeuristicPredictor pred;
-  PlanCache<float> cache(pred, clsim::default_engine(), 4);
+  PlanCache<float> cache(pred, 4);
   auto a = std::make_shared<const CsrMatrix<float>>(
       gen::banded<float>(800, 3, 0.8, 11));
   auto b = std::make_shared<const CsrMatrix<float>>(*a);  // distinct object
@@ -149,7 +149,7 @@ TEST(PlanCache, SameStructureSharesOneEntry) {
 TEST(PlanCache, ConcurrentMissesShareOnePlanningPass) {
   core::HeuristicPredictor heuristic;
   CountingPredictor pred(heuristic);
-  PlanCache<double> cache(pred, clsim::default_engine(), 4);
+  PlanCache<double> cache(pred, 4);
   auto a = std::make_shared<const CsrMatrix<double>>(
       gen::power_law<double>(3000, 3000, 2.0, 300, 13));
 
@@ -172,8 +172,7 @@ TEST(PlanCache, ConcurrentMissesShareOnePlanningPass) {
 
 TEST(PlanCache, ZeroCapacityThrows) {
   core::HeuristicPredictor pred;
-  EXPECT_THROW(PlanCache<float>(pred, clsim::default_engine(), 0),
-               std::invalid_argument);
+  EXPECT_THROW(PlanCache<float>(pred, 0), std::invalid_argument);
 }
 
 // --- Batched execution ----------------------------------------------------
